@@ -173,73 +173,107 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # convolution kernels
+#
+# conv2d maps a "big" grid (zero-padded input, stride*stride phases) onto a
+# "small" grid (output); conv_transpose2d maps small onto big. Channels-last
+# rows make kernel tap t link small row r to big row r + offset: a contiguous
+# slice, not a window copy. Small rows whose taps wrap across a row or image
+# edge fall outside the valid window: cropped going out, zero coming in.
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Gather conv windows into a (N*ho*wo, C*kh*kw) matrix."""
-    n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-        writeable=False,
-    )
-    return windows.reshape(n * ho * wo, c * kh * kw)
+def _grid(a: np.ndarray, stride: int, pad: int, hs: int, ws: int) -> np.ndarray:
+    """NCHW -> zeroed (stride*stride, N*hs*ws, C) phase grid holding a at (pad, pad)."""
+    n, c, h, w = a.shape
+    buf = np.zeros((n, hs * stride, ws * stride, c), dtype=np.float32)
+    buf[:, pad:pad + h, pad:pad + w] = a.transpose(0, 2, 3, 1)
+    phases = buf.reshape(n, hs, stride, ws, stride, c).transpose(2, 4, 0, 1, 3, 5)
+    return np.ascontiguousarray(phases).reshape(stride * stride, n * hs * ws, c)
+
+
+def _ungrid(g: np.ndarray, stride: int, pad: int, hs: int, ws: int, h: int, w: int) -> np.ndarray:
+    """Inverse of _grid: the NCHW (h, w) window at (pad, pad), a view at stride 1."""
+    full = g.reshape(stride, stride, -1, hs, ws, g.shape[2]).transpose(2, 3, 0, 4, 1, 5)
+    full = full.reshape(-1, hs * stride, ws * stride, g.shape[2])
+    return full[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+
+
+def _tap_gemm(taps, src: np.ndarray, dst: np.ndarray, mats: np.ndarray | None = None):
+    """Sum over kernel taps of (shifted contiguous src rows) @ (per-tap matrix).
+
+    Tap t = (src phase, src offset, dst phase, dst offset) links src row
+    r + src offset to dst row r + dst offset. Accumulates src rows @ mats[t]
+    into dst rows; without mats, returns every tap's src.T @ dst rows, the
+    gradient of mats.
+    """
+    rows = src.shape[1] - max(max(t[1], t[3]) for t in taps)
+    if mats is None:
+        return np.stack([src[sp, so:so + rows].T @ dst[dp, do:do + rows]
+                         for sp, so, dp, do in taps])
+    for t, (sp, so, dp, do) in enumerate(taps):
+        dst[dp, do:do + rows] += src[sp, so:so + rows] @ mats[t]
+
+
+def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor | None, cin_axis: int) -> None:
+    _require_rank(op, x, 4)
+    _require_rank(op, weight, 4, "weight")
+    cin, cout = weight.shape[cin_axis], weight.shape[1 - cin_axis]
+    if x.shape[1] != cin:
+        raise DimensionError(f"{op}: input channel axis Cin={x.shape[1]} does not match weight Cin={cin}")
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"{op}: bias shape {bias.shape} must be ({cout},)")
+
+
+def _shift_conv(x: Tensor, weight: Tensor, bias: Tensor | None, cin_axis: int, stride: int,
+                pad: int, big_hw: tuple[int, int], small_hw: tuple[int, int]) -> Tensor:
+    """conv2d (weight Cin on axis 1, x on the big grid) or conv_transpose2d (axis 0, x small)."""
+    kh, kw = weight.shape[2:]
+    hs, ws = (-(-(d + 2 * pad) // stride) for d in big_hw)
+    big, small = (stride, pad, hs, ws, *big_hw), (1, 0, hs, ws, *small_hw)
+    src, dst = (big, small) if cin_axis else (small, big)
+    taps = [((i % stride) * stride + j % stride, (i // stride) * ws + j // stride)
+            for i in range(kh) for j in range(kw)]
+    taps = [(p, off, 0, 0) if cin_axis else (0, 0, p, off) for p, off in taps]
+    perm = (2, 3, cin_axis, 1 - cin_axis)  # weight axes -> (kh, kw, Cin, Cout)
+    wt = weight.data.transpose(perm)
+    mats = wt.reshape(kh * kw, *wt.shape[2:])
+    xg = _grid(x.data, *src[:4])
+    out = np.zeros((dst[0] ** 2, xg.shape[1], mats.shape[2]), dtype=np.float32)
+    _tap_gemm(taps, xg, out, mats)
+    if bias is not None:
+        out += bias.data
+
+    def backward_fn(g: np.ndarray):
+        gg = _grid(g, *dst[:4])
+        gw = _tap_gemm(taps, xg, gg).reshape(wt.shape).transpose(np.argsort(perm))
+        gx = None
+        if x.requires_grad:
+            gx = np.zeros_like(xg)
+            _tap_gemm([(dp, do, sp, so) for sp, so, dp, do in taps], gg, gx, mats.transpose(0, 2, 1))
+            gx = _ungrid(gx, *src)
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _emit(_ungrid(out, *dst), inputs, backward_fn)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW batch with an (Cout,Cin,kh,kw) kernel."""
-    _require_rank("conv2d", x, 4)
-    _require_rank("conv2d", weight, 4, "weight")
-    n, cin, h, w = x.shape
-    cout, wcin, kh, kw = weight.shape
-    if cin != wcin:
-        raise DimensionError(f"conv2d: input channel axis Cin={cin} does not match weight Cin={wcin}")
+    _check_conv("conv2d", x, weight, bias, cin_axis=1)
     if stride < 1 or padding < 0:
         raise ContractError(f"conv2d: stride must be >= 1 and padding >= 0, got {stride}, {padding}")
-    if bias is not None and bias.shape != (cout,):
-        raise DimensionError(f"conv2d: bias shape {bias.shape} must be ({cout},)")
+    h, w = x.shape[2:]
+    kh, kw = weight.shape[2:]
     span_h = h + 2 * padding - kh
     span_w = w + 2 * padding - kw
     if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
         raise DimensionError(
             f"conv2d: spatial axes H={h}, W={w} incompatible with kernel ({kh},{kw}), "
             f"stride {stride}, padding {padding}")
-    ho = span_h // stride + 1
-    wo = span_w // stride + 1
-
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    out_flat = cols @ wmat.T
-    if bias is not None:
-        out_flat = out_flat + bias.data
-    out = out_flat.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
-
-    hp, wp = xp.shape[2], xp.shape[3]
-
-    def backward_fn(g: np.ndarray):
-        gf = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, cout)
-        gw = (gf.T @ cols).reshape(cout, cin, kh, kw)
-        gcols = (gf @ wmat).reshape(n, ho, wo, cin, kh, kw)
-        gxp = np.zeros((n, cin, hp, wp), dtype=np.float32)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        gx = gxp[:, :, padding:hp - padding, padding:wp - padding] if padding else gxp
-        if bias is None:
-            return gx, gw
-        gb = gf.sum(axis=0, dtype=np.float64).astype(np.float32)
-        return gx, gw, gb
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _emit(out, inputs, backward_fn)
+    small_hw = (span_h // stride + 1, span_w // stride + 1)
+    return _shift_conv(x, weight, bias, 1, stride, padding, (h, w), small_hw)
 
 
 def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -249,47 +283,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Weight layout is (Cin, Cout, kh, kw) so that the tensor used by a
     conv2d mapping Cout'->Cin' channels can be reused directly.
     """
-    _require_rank("conv_transpose2d", x, 4)
-    _require_rank("conv_transpose2d", weight, 4, "weight")
     if stride not in (1, 2):
         raise ContractError(f"conv_transpose2d: stride must be 1 or 2, got {stride}")
-    n, cin, h, w = x.shape
-    wcin, cout, kh, kw = weight.shape
-    if cin != wcin:
-        raise DimensionError(
-            f"conv_transpose2d: input channel axis Cin={cin} does not match weight Cin={wcin}")
-    if bias is not None and bias.shape != (cout,):
-        raise DimensionError(f"conv_transpose2d: bias shape {bias.shape} must be ({cout},)")
-    ho = (h - 1) * stride + kh
-    wo = (w - 1) * stride + kw
-
-    xt = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * h * w, cin)
-    out = np.zeros((n, cout, ho, wo), dtype=np.float32)
-    for i in range(kh):
-        for j in range(kw):
-            contrib = (xt @ weight.data[:, :, i, j]).reshape(n, h, w, cout)
-            out[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += \
-                contrib.transpose(0, 3, 1, 2)
-    if bias is not None:
-        out += bias.data[None, :, None, None]
-
-    def backward_fn(g: np.ndarray):
-        gx_flat = np.zeros((n * h * w, cin), dtype=np.float32)
-        gw = np.zeros_like(weight.data)
-        for i in range(kh):
-            for j in range(kw):
-                gs = g[:, :, i:i + stride * h:stride, j:j + stride * w:stride]
-                gs_flat = np.ascontiguousarray(gs.transpose(0, 2, 3, 1)).reshape(n * h * w, cout)
-                gx_flat += gs_flat @ weight.data[:, :, i, j].T
-                gw[:, :, i, j] = xt.T @ gs_flat
-        gx = gx_flat.reshape(n, h, w, cin).transpose(0, 3, 1, 2)
-        if bias is None:
-            return gx, gw
-        gb = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
-        return gx, gw, gb
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _emit(out, inputs, backward_fn)
+    _check_conv("conv_transpose2d", x, weight, bias, cin_axis=0)
+    h, w = x.shape[2:]
+    big_hw = ((h - 1) * stride + weight.shape[2], (w - 1) * stride + weight.shape[3])
+    return _shift_conv(x, weight, bias, 0, stride, 0, big_hw, (h, w))
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> tuple[Tensor, np.ndarray]:
@@ -312,7 +311,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> tuple[Tensor, np.ndarray]:
 
     def backward_fn(g: np.ndarray):
         gw = np.zeros((n, c, ho, wo, k * k), dtype=np.float32)
-        np.put_along_axis(gw, idx[..., None], g[..., None].astype(np.float32), axis=-1)
+        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gx = gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
         return (gx,)
 
@@ -327,7 +326,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, np.float32(0))
 
     def backward_fn(g: np.ndarray):
-        return ((g * (x.data > 0)).astype(np.float32),)
+        return (g * (x.data > 0),)
 
     return _emit(out, (x,), backward_fn)
 

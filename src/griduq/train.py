@@ -192,8 +192,8 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
                       RuntimeWarning, stacklevel=2)
     if not usable:
         raise ContractError("fit: no training samples with station coverage")
-    if not val_samples:
-        raise ContractError("fit: validation set is empty")
+    if not any(s.mask.any() for s in val_samples):
+        raise ContractError("fit: validation set is empty or has no station pixels")
     params.require_grad(True)
     state = ad.AdamState(params.tensors)
     drop_rng = np.random.default_rng([seed, 7])

@@ -51,6 +51,48 @@ def conv_transpose2d_loops(x, w, b, stride=2):
     return out
 
 
+def conv2d_grad_loops(x, w, g, stride=1, padding=0):
+    """(dL/dx, dL/dw, dL/db) of L = sum(g * conv2d(x, w, b, stride, padding))."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=np.float64)
+    xp[:, :, padding:padding + h, padding:padding + wd] = x.astype(np.float64)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    gv = float(g[ni, oi, yi, xi])
+                    for cc in range(c):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                at = (ni, cc, yi * stride + di, xi * stride + dj)
+                                gxp[at] += gv * float(w[oi, cc, di, dj])
+                                gw[oi, cc, di, dj] += gv * xp[at]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return gx, gw, g.astype(np.float64).sum(axis=(0, 2, 3))
+
+
+def conv_transpose2d_grad_loops(x, w, g, stride=2):
+    """(dL/dx, dL/dw, dL/db) of L = sum(g * conv_transpose2d(x, w, b, stride))."""
+    n, c, h, wd = x.shape
+    _, co, kh, kw = w.shape
+    gx = np.zeros(x.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    for ni in range(n):
+        for cc in range(c):
+            for yi in range(h):
+                for xi in range(wd):
+                    for oi in range(co):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                gv = float(g[ni, oi, yi * stride + di, xi * stride + dj])
+                                gx[ni, cc, yi, xi] += gv * float(w[cc, oi, di, dj])
+                                gw[cc, oi, di, dj] += gv * float(x[ni, cc, yi, xi])
+    return gx, gw, g.astype(np.float64).sum(axis=(0, 2, 3))
+
+
 def maxpool2d_loops(x, k=2):
     n, c, h, wd = x.shape
     ho, wo = h // k, wd // k

@@ -10,7 +10,8 @@ from griduq import autodiff as ad
 from griduq.errors import ContractError, DimensionError, FormatError
 
 from _gradcheck import gradcheck, lattice_values, max_rel_error
-from _oracles import conv2d_loops, conv_transpose2d_loops, maxpool2d_loops
+from _oracles import (conv2d_grad_loops, conv2d_loops, conv_transpose2d_grad_loops,
+                      conv_transpose2d_loops, maxpool2d_loops)
 
 
 def run_backward(build, arrays):
@@ -98,6 +99,11 @@ class TestForward:
 
 # ---------------------------------------------------------------- conv kernels
 
+# (op, forward loop oracle, gradient loop oracle, Cout axis of the weight)
+CONV = (ad.conv2d, conv2d_loops, conv2d_grad_loops, 0)
+CONV_T = (ad.conv_transpose2d, conv_transpose2d_loops, conv_transpose2d_grad_loops, 1)
+
+
 class TestConv:
     def test_window_sums(self):
         x = ad.Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
@@ -144,6 +150,58 @@ class TestConv:
         lhs = float(np.sum(fwd.astype(np.float64) * y.astype(np.float64)))
         rhs = float(np.sum(x.astype(np.float64) * wt.data.astype(np.float64)))
         assert abs(lhs - rhs) / (abs(lhs) + 1e-12) < 1e-5
+
+    # N >= 2 and odd H, W: a tap row that wrapped across a row or image edge
+    # of the flattened channels-last grid would show in the output or grads
+    @pytest.mark.parametrize("oracle,x_shape,w_shape,kwargs", [
+        (CONV, (2, 3, 7, 9), (4, 3, 3, 3), dict(padding=0)),
+        (CONV, (2, 3, 7, 9), (4, 3, 3, 3), dict(padding=1)),
+        (CONV, (2, 2, 7, 9), (3, 2, 3, 2), dict(padding=1)),
+        (CONV, (2, 2, 5, 7), (3, 2, 2, 3), dict(padding=0)),
+        (CONV, (3, 3, 5, 7), (2, 3, 1, 1), dict(padding=0)),
+        (CONV, (2, 3, 9, 7), (4, 3, 3, 3), dict(stride=2, padding=1)),
+        (CONV, (2, 2, 7, 5), (3, 2, 3, 1), dict(stride=2, padding=0)),
+        (CONV, (2, 2, 7, 5), (3, 2, 1, 1), dict(stride=2, padding=0)),
+        (CONV_T, (2, 3, 5, 7), (3, 2, 3, 3), dict(stride=1)),
+        (CONV_T, (2, 3, 5, 7), (3, 2, 2, 2), dict(stride=2)),
+        (CONV_T, (2, 2, 5, 7), (2, 3, 3, 2), dict(stride=2)),
+    ], ids=["conv_p0", "conv_p1", "conv_rect_p1", "conv_rect_p0", "conv_1x1", "conv_s2_p1",
+            "conv_rect_s2", "conv_1x1_s2", "convT_s1", "convT_s2", "convT_rect_s2"])
+    def test_shift_kernel_matches_loop_oracles(self, oracle, x_shape, w_shape, kwargs, rng):
+        op, loops, grad_loops, cout_axis = oracle
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        b = rng.normal(size=w_shape[cout_axis]).astype(np.float32)
+        with ad.Tape() as tape:
+            out = op(*(ad.Tensor(a, requires_grad=True) for a in (x, w, b)), **kwargs)
+        want = loops(x, w, b, **kwargs)
+        assert out.shape == want.shape
+        assert max_rel_error(out.data.astype(np.float64), want) < 1e-5
+        g = rng.normal(size=out.shape).astype(np.float32)
+        (_, _, backward_fn), = tape._records
+        for got, exp in zip(backward_fn(g), grad_loops(x, w, g, **kwargs)):
+            assert got.shape == exp.shape
+            assert max_rel_error(got.astype(np.float64), exp) < 1e-5
+
+    @pytest.mark.parametrize("op,w_shape", [
+        (lambda x, w, b: ad.conv2d(x, w, b, padding=1), (4, 3, 3, 3)),
+        (lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2), (3, 4, 2, 2)),
+    ], ids=["conv2d", "conv_transpose2d"])
+    def test_no_input_grad_unless_required(self, op, w_shape, rng):
+        x = rng.normal(size=(2, 3, 5, 7)).astype(np.float32)
+        w = rng.normal(size=w_shape).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        grads = {}
+        for needs_grad in (True, False):
+            with ad.Tape() as tape:
+                out = op(ad.Tensor(x, requires_grad=needs_grad),
+                         ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True))
+            (_, _, backward_fn), = tape._records
+            grads[needs_grad] = backward_fn(np.ones(out.shape, dtype=np.float32))
+        assert grads[False][0] is None
+        assert grads[True][0].shape == x.shape
+        assert np.array_equal(grads[False][1], grads[True][1])
+        assert np.array_equal(grads[False][2], grads[True][2])
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
@@ -338,6 +396,8 @@ SMOOTH_CASES = [
         t["a"], np.arange(12).reshape(3, 4) % 3 == 0), {"a": (3, 4)}, "normal"),
     ("conv", lambda t: ad.conv2d(t["x"], t["w"], t["b"], padding=1),
      {"x": (2, 2, 5, 4), "w": (3, 2, 3, 3), "b": (3,)}, "normal"),
+    ("conv_p0", lambda t: ad.conv2d(t["x"], t["w"], t["b"]),
+     {"x": (2, 2, 5, 7), "w": (3, 2, 3, 2), "b": (3,)}, "normal"),
     ("conv_s2", lambda t: ad.conv2d(t["x"], t["w"], t["b"], stride=2),
      {"x": (1, 2, 6, 6), "w": (2, 2, 2, 2), "b": (2,)}, "normal"),
     ("convT", lambda t: ad.conv_transpose2d(t["x"], t["w"], t["b"], stride=2),

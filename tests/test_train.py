@@ -141,6 +141,18 @@ class TestFit:
         with pytest.raises(ContractError):
             fit(params, train_set, [], epochs=1, lr=1e-3, batch_size=8, seed=0)
 
+    def test_stationless_validation_fails_before_training(self, tiny_samples):
+        train_set, val_set = prepared(tiny_samples)
+        h, w = val_set[0].y.shape
+        blind = [replace(s, y=np.full((h, w), np.nan, dtype=np.float32),
+                         mask=np.zeros((h, w), dtype=bool)) for s in val_set]
+        params = build(tiny_config("mcd").model_config(28), seed=0)
+        before = {k: t.data.copy() for k, t in params.tensors.items()}
+        with pytest.raises(ContractError, match="no station pixels"):
+            fit(params, train_set, blind, epochs=1, lr=1e-3, batch_size=8, seed=0)
+        for k, t in params.tensors.items():
+            assert np.array_equal(t.data, before[k]), k
+
 
 class TestTrainOne:
     def test_mcd_run_artifacts(self, tiny_samples, tmp_path):
