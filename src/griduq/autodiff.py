@@ -10,7 +10,7 @@ Ops executed inside a ``with Tape():`` block are recorded; ``backward``
 replays the tape in exact reverse order and accumulates gradients on
 every tensor with ``requires_grad``. Gradients of a tensor feeding
 several consumers add up. The active-tape stack is thread local, so
-independent single-threaded contexts (one per seed, one per MC pass)
+independent single-threaded contexts (one per training seed)
 never share state.
 """
 
@@ -49,6 +49,7 @@ __all__ = [
     "pad2d",
     "crop2d",
     "mean_masked",
+    "dropout_masks",
     "dropout",
     "AdamState",
     "adam_step",
@@ -209,8 +210,16 @@ def _tap_gemm(taps, src: np.ndarray, dst: np.ndarray, mats: np.ndarray | None = 
     if mats is None:
         return np.stack([src[sp, so:so + rows].T @ dst[dp, do:do + rows]
                          for sp, so, dp, do in taps])
+    # NumPy hands a one-row or one-column product to gemv, whose rounding
+    # depends on the row count; zero padding to two keeps it on GEMM
+    cols = mats.shape[2]
+    if cols == 1:
+        mats = np.concatenate([mats, np.zeros_like(mats)], axis=2)
     for t, (sp, so, dp, do) in enumerate(taps):
-        dst[dp, do:do + rows] += src[sp, so:so + rows] @ mats[t]
+        a = src[sp, so:so + rows]
+        if rows == 1:
+            a = np.concatenate([a, np.zeros_like(a)])
+        dst[dp, do:do + rows] += (a @ mats[t])[:rows, :cols]
 
 
 def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor | None, cin_axis: int) -> None:
@@ -238,7 +247,10 @@ def _shift_conv(x: Tensor, weight: Tensor, bias: Tensor | None, cin_axis: int, s
     mats = wt.reshape(kh * kw, *wt.shape[2:])
     xg = _grid(x.data, *src[:4])
     out = np.zeros((dst[0] ** 2, xg.shape[1], mats.shape[2]), dtype=np.float32)
-    _tap_gemm(taps, xg, out, mats)
+    # a C-contiguous right operand keeps BLAS off the transposed small-matrix
+    # kernels, whose rounding depends on the row count: each image of a batch
+    # then gets the bits it gets alone
+    _tap_gemm(taps, xg, out, np.ascontiguousarray(mats))
     if bias is not None:
         out += bias.data
 
@@ -304,10 +316,16 @@ def maxpool2d(x: Tensor, k: int = 2) -> tuple[Tensor, np.ndarray]:
     if h % k or w % k:
         raise DimensionError(f"maxpool2d: spatial axes H={h}, W={w} not divisible by k={k}")
     ho, wo = h // k, w // k
-    windows = x.data.reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(n, c, ho, wo, k * k)
-    idx = windows.argmax(axis=-1)  # argmax takes the first max: row-major tie-break
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    views = [x.data[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+    # np.maximum spreads NaN and keeps its second operand on a 0.0/-0.0 tie, so
+    # folding from the last view keeps the value of the first maximum
+    out = views[-1].copy()
+    for v in reversed(views[:-1]):
+        np.maximum(out, v, out=out)
+    idx = np.zeros((n, c, ho, wo), dtype=np.intp)
+    for i in reversed(range(k * k)):  # the lowest hit writes last; NaN is a hit
+        v = views[i]
+        np.copyto(idx, i, where=(v == out) | np.isnan(v))
 
     def backward_fn(g: np.ndarray):
         gw = np.zeros((n, c, ho, wo, k * k), dtype=np.float32)
@@ -510,24 +528,52 @@ def mean_masked(x: Tensor, mask: np.ndarray) -> Tensor:
     return _emit(out, (x,), backward_fn)
 
 
-def dropout(x: Tensor, p: float, active: bool, rng: np.random.Generator | None = None) -> Tensor:
+def dropout_masks(p: float, rng: np.random.Generator, shapes: Sequence[tuple[int, ...]],
+                  passes: int = 1) -> list[np.ndarray]:
+    """Inverted-dropout keep masks (0 or 1/(1-p), float32), one per site shape.
+
+    A site of shape (N, ...) gets a (passes*N, ...) mask, pass-major. Pass t
+    draws rng.random(shape) for every site in order before pass t+1 draws
+    any, so the passes consume the generator exactly as that many separate
+    forwards would, one after another.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout_masks: rate must be in [0, 1), got {p}")
+    masks = [np.empty((passes * s[0], *s[1:]), dtype=np.float32) for s in shapes]
+    for t in range(passes):
+        for shape, mask in zip(shapes, masks):
+            mask[t * shape[0]:(t + 1) * shape[0]] = rng.random(shape) >= p
+    for mask in masks:
+        mask *= np.float32(1.0 / (1.0 - p))
+    return masks
+
+
+def dropout(x: Tensor, p: float, active: bool, rng: np.random.Generator | None = None,
+            keep: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: keep with prob 1-p and scale by 1/(1-p).
 
     Identity when inactive or p == 0, so inference costs nothing unless a
-    caller (MC sampling) turns it on deliberately.
+    caller (MC sampling) turns it on deliberately. A ``keep`` mask from
+    dropout_masks replaces the draw from rng; one with R times x's rows
+    applies R passes to x at once and returns R times the rows, pass-major.
     """
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout: rate must be in [0, 1), got {p}")
     if not active or p == 0.0:
         return x
-    if rng is None:
-        raise ContractError("dropout: an active, nonzero rate needs a random generator")
-    keep = (rng.random(x.shape) >= p).astype(np.float32) * np.float32(1.0 / (1.0 - p))
+    if keep is None:
+        if rng is None:
+            raise ContractError("dropout: an active, nonzero rate needs a random generator")
+        keep = dropout_masks(p, rng, [x.shape])[0]
+    if keep.shape[1:] != x.shape[1:] or keep.shape[0] % x.shape[0]:
+        raise DimensionError(f"dropout: keep mask {keep.shape} does not tile input {x.shape}")
+    tiled = keep.reshape(-1, *x.shape)
 
     def backward_fn(g: np.ndarray):
-        return (g * keep,)
+        gx = g * keep  # a sum over one pass would turn -0.0 into 0.0
+        return (gx if len(tiled) == 1 else gx.reshape(tiled.shape).sum(axis=0),)
 
-    return _emit(x.data * keep, (x,), backward_fn)
+    return _emit((x.data * tiled).reshape(keep.shape), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -133,27 +133,41 @@ def build(config: ModelConfig, seed: int) -> UNetParams:
 
 
 def forward(params: UNetParams, x: Tensor, dropout_active: bool = False,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Run the network on an (N, C, H, W) batch; output is (N, heads, H, W)."""
+            rng: np.random.Generator | None = None, passes: int = 1) -> Tensor:
+    """Run the network on an (N, C, H, W) batch; output is (passes*N, heads, H, W).
+
+    passes > 1 runs that many dropout passes of the batch in one go, pass-major:
+    the layers before the first dropout site run once at N rows, and that site
+    widens the batch to passes*N. Masks are drawn pass by pass, so rows
+    t*N .. t*N + N - 1 are bitwise the t-th of `passes` one-pass forwards run
+    in a row on the same generator, which ends in the same state.
+    """
     cfg = params.config
     if x.ndim != 4:
         raise DimensionError(f"forward: input must be NCHW, got shape {x.shape}")
     if x.shape[1] != cfg.in_channels:
         raise DimensionError(
             f"forward: channel axis C={x.shape[1]} does not match config in_channels={cfg.in_channels}")
-    if dropout_active and cfg.dropout_rate > 0.0 and rng is None:
+    sampling = dropout_active and cfg.dropout_rate > 0.0
+    if sampling and rng is None:
         raise ContractError("forward: dropout_active needs a random generator")
+    if passes < 1 or (passes > 1 and not sampling):
+        raise ContractError(f"forward: passes={passes}; more than 1 needs dropout sampling")
     t = params.tensors
-    _, _, h, w = x.shape
+    n, _, h, w = x.shape
     mult = 2 ** cfg.depth
     hp = -(-h // mult) * mult
     wp = -(-w // mult) * mult
     out = ad.pad2d(x, hp, wp) if (hp, wp) != (h, w) else x
+    # dropout sites in forward order: encoder levels, bottleneck, decoder levels
+    levels = [*range(cfg.depth), cfg.depth, *reversed(range(cfg.depth))]
+    sites = [(n, cfg.base_width * 2 ** lvl, hp >> lvl, wp >> lvl) for lvl in levels]
+    keeps = ad.dropout_masks(cfg.dropout_rate, rng, sites, passes) if sampling else []
 
     def double_conv(inp: Tensor, name: str) -> Tensor:
         inp = ad.relu(ad.conv2d(inp, t[f"{name}a_w"], t[f"{name}a_b"], padding=1))
         inp = ad.relu(ad.conv2d(inp, t[f"{name}b_w"], t[f"{name}b_b"], padding=1))
-        return ad.dropout(inp, cfg.dropout_rate, dropout_active, rng)
+        return ad.dropout(inp, cfg.dropout_rate, sampling, keep=keeps.pop(0) if keeps else None)
 
     skips = []
     for lvl in range(cfg.depth):

@@ -157,13 +157,18 @@ def _batch_loss(params: UNetParams, xb, yb, maskb, dropout_active: bool,
 
 
 def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: int) -> float:
-    """Deterministic mask-pixel-weighted loss over a sample list, dropout off."""
+    """Deterministic mask-pixel-weighted loss over a sample list, dropout off.
+
+    Batches with no station pixel are skipped.
+    """
     total = 0.0
     count = 0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         xb, yb, maskb = _batch_arrays(chunk)
         n = int(maskb.sum())
+        if n == 0:
+            continue  # no station pixel: the loss is undefined and would weigh 0
         loss = _batch_loss(params, xb, yb, maskb, dropout_active=False, rng=None)
         total += loss.item() * n
         count += n

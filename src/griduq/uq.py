@@ -22,9 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import GridSample
 from .errors import CalibrationError, ContractError
-from .model import HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, predict_gaussian, predict_quantiles
+from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, forward, gaussian_moments,
+                    predict_quantiles)
 
 DEFAULT_ALPHA = 0.1
 DEFAULT_PASSES = 30
@@ -63,14 +65,16 @@ def aggregate_mc_passes(mus: Sequence[np.ndarray],
                         sigma2s: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduce per-pass (mu, sigma^2) grids to (mean, epistemic, aleatoric).
 
+    Either argument may be a list of (H, W) grids or one (T, H, W) stack.
+
     Float64 two-pass arithmetic: when every pass is bitwise identical the
     epistemic variance is exactly zero, not merely tiny.
     """
     if len(mus) != len(sigma2s) or len(mus) < 1:
         raise ContractError("aggregate_mc_passes: need matching, nonempty pass lists")
     t = len(mus)
-    mu_stack = np.stack([np.asarray(m, dtype=np.float64) for m in mus])
-    s2_stack = np.stack([np.asarray(s, dtype=np.float64) for s in sigma2s])
+    mu_stack = np.asarray(mus, dtype=np.float64)
+    s2_stack = np.asarray(sigma2s, dtype=np.float64)
     mean = mu_stack.sum(axis=0) / t
     epistemic = ((mu_stack - mean) ** 2).sum(axis=0) / t
     aleatoric = s2_stack.sum(axis=0) / t
@@ -80,18 +84,25 @@ def aggregate_mc_passes(mus: Sequence[np.ndarray],
 
 def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int = DEFAULT_PASSES,
                        rng: np.random.Generator | None = None) -> McdPrediction:
-    """T stochastic passes for one (C, H, W) input; reproducible given rng state."""
+    """T stochastic passes for one (C, H, W) input; reproducible given rng state.
+
+    All T passes run as one forward of batch T, drawing the same dropout masks
+    in the same order as T one-pass forwards one after another.
+    """
     if params.config.head != HEAD_GAUSSIAN:
         raise ContractError("mc_dropout_predict needs a Gaussian-head model")
     if t_passes < 2:
         raise ContractError(f"mc_dropout_predict: t_passes must be >= 2, got {t_passes}")
     if rng is None and params.config.dropout_rate > 0.0:
         raise ContractError("mc_dropout_predict: dropout sampling needs a random generator")
-    mus, sigma2s = [], []
-    for _ in range(t_passes):
-        mu, sigma2 = predict_gaussian(params, x, dropout_active=True, rng=rng)
-        mus.append(mu)
-        sigma2s.append(sigma2)
+    # at rate 0 every pass is the same forward, so one stands for all T
+    passes = t_passes if params.config.dropout_rate > 0.0 else 1
+    out = forward(params, Tensor(np.asarray(x)[None]), dropout_active=True, rng=rng,
+                  passes=passes)
+    mu, sigma2 = gaussian_moments(out)
+    stack = (t_passes, *mu.shape[2:])
+    mus = np.broadcast_to(mu.data[:, 0], stack)
+    sigma2s = np.broadcast_to(sigma2.data[:, 0], stack)
     mean, epistemic, aleatoric = aggregate_mc_passes(mus, sigma2s)
     return McdPrediction(mean=mean, epistemic=epistemic, aleatoric=aleatoric, passes=t_passes)
 

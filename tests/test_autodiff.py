@@ -234,6 +234,14 @@ class TestMaxPool:
         assert out.data[0, 0, 0, 0] == 7.0
         assert idx[0, 0, 0, 0] == 0
 
+    def test_signed_zero_and_nan_windows_take_the_first_hit(self):
+        x = np.array([[[[-0.0, 0.0, 0.0, -0.0, 1.0, np.nan],
+                        [0.0, -0.0, -0.0, 0.0, np.nan, 5.0]]]], dtype=np.float32)
+        out, idx = ad.maxpool2d(ad.Tensor(x))
+        assert idx.tolist() == [[[[0, 0, 1]]]]
+        assert np.signbit(out.data[0, 0, 0, :2]).tolist() == [True, False]
+        assert np.isnan(out.data[0, 0, 0, 2])
+
     def test_tie_gradient_goes_to_first(self):
         x = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
 
@@ -276,6 +284,34 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ContractError):
             ad.dropout(ad.Tensor(np.ones(3)), 1.0, active=True, rng=np.random.default_rng(0))
+
+    def test_masks_draw_pass_major(self):
+        # pass t draws every site before pass t + 1, each as one stand-alone draw
+        shapes = [(2, 3, 4, 4), (2, 6, 2, 2)]
+        masks = ad.dropout_masks(0.25, np.random.default_rng(1), shapes, passes=3)
+        ref = np.random.default_rng(1)
+        for t in range(3):
+            for shape, mask in zip(shapes, masks):
+                want = (ref.random(shape) >= 0.25).astype(np.float32) * np.float32(1.0 / 0.75)
+                assert mask[2 * t:2 * t + 2].tobytes() == want.tobytes()
+
+    def test_tiled_keep_runs_passes_and_sums_their_gradients(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        keep = ad.dropout_masks(0.5, np.random.default_rng(2), [x.shape], passes=3)[0]
+        tiled = keep.reshape(3, *x.shape)
+
+        def build(t):
+            out = ad.dropout(t["x"], 0.5, active=True, keep=keep)
+            assert np.array_equal(out.data, (tiled * x).reshape(keep.shape))
+            return ad.mean_masked(out, np.ones(out.shape, dtype=bool))
+
+        tensors, _ = run_backward(build, {"x": x})
+        assert np.allclose(tensors["x"].grad, tiled.sum(axis=0) / keep.size, rtol=1e-6)
+
+    def test_keep_must_tile_input(self):
+        keep = np.ones((3, 2, 4), dtype=np.float32)
+        with pytest.raises(DimensionError):
+            ad.dropout(ad.Tensor(np.ones((2, 2, 4))), 0.5, active=True, keep=keep)
 
 
 # ---------------------------------------------------------------- backward

@@ -133,6 +133,28 @@ class TestForward:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_passes_are_repeated_forwards(self, rng):
+        # pass-major rows: row t*N + n is pass t of input n, on the same stream
+        params = build(small_config(dropout_rate=0.4), seed=3)
+        x = Tensor(rng.normal(size=(2, 5, 11, 13)).astype(np.float32))
+        batch_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        out = forward(params, x, dropout_active=True, rng=batch_rng, passes=3).data
+        want = np.concatenate([forward(params, x, dropout_active=True, rng=loop_rng).data
+                               for _ in range(3)])
+        assert out.tobytes() == want.tobytes()
+        assert batch_rng.random() == loop_rng.random()
+
+    def test_passes_need_dropout_sampling(self):
+        x = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
+        with pytest.raises(ContractError):
+            forward(build(small_config(), seed=0), x, passes=2)
+        with pytest.raises(ContractError):
+            forward(build(small_config(dropout_rate=0.0), seed=0), x, dropout_active=True,
+                    passes=2)
+        with pytest.raises(ContractError):
+            forward(build(small_config(), seed=0), x, dropout_active=True,
+                    rng=np.random.default_rng(0), passes=0)
+
     def test_deterministic_without_dropout(self, rng):
         params = build(small_config(), seed=0)
         x = Tensor(rng.normal(size=(1, 5, 11, 13)).astype(np.float32))

@@ -8,7 +8,9 @@ from griduq import autodiff as ad
 from griduq.autodiff import Tensor
 from griduq.data import GridSample, split, standardize, ChannelStats
 from griduq.errors import ContractError, FormatError, TrainingError
-from griduq.model import HEAD_GAUSSIAN, HEAD_QUANTILE, build
+from griduq.losses import gaussian_nll
+from griduq.model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, build, forward,
+                          gaussian_moments)
 from griduq.train import (GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
                           aggregate_seed_losses, clip_grad_norm, fit, load_run_params,
                           read_run_config, read_runs_log, resolve_workers, train_all_seeds,
@@ -152,6 +154,27 @@ class TestFit:
             fit(params, train_set, blind, epochs=1, lr=1e-3, batch_size=8, seed=0)
         for k, t in params.tensors.items():
             assert np.array_equal(t.data, before[k]), k
+
+
+    def test_stationless_validation_batch_is_skipped(self, tiny_samples):
+        train_set, val_set = prepared(tiny_samples)
+        h, w = val_set[0].y.shape
+        blind = [replace(val_set[i % len(val_set)], y=np.full((h, w), np.nan, dtype=np.float32),
+                         mask=np.zeros((h, w), dtype=bool)) for i in range(8)]
+        seen = val_set * 5  # after the blind chunk: a full chunk of 8 and a partial one
+        params = build(tiny_config("mcd").model_config(28), seed=0)
+        result = fit(params, train_set, blind + seen, epochs=1, lr=1e-3, batch_size=8, seed=0)
+        best = UNetParams(params.config, {k: Tensor(v) for k, v in result.best_state.items()})
+        total = count = 0.0
+        for start in range(0, len(seen), 8):
+            chunk = seen[start:start + 8]
+            y = np.stack([s.y for s in chunk])[:, None]
+            mask = np.stack([s.mask for s in chunk])[:, None]
+            mu, sigma2 = gaussian_moments(forward(best, Tensor(np.stack([s.x for s in chunk]))))
+            total += gaussian_nll(mu, sigma2, y, mask).item() * int(mask.sum())
+            count += int(mask.sum())
+        assert result.best_epoch == 1
+        assert result.best_val_loss == total / count
 
 
 class TestTrainOne:

@@ -84,6 +84,32 @@ class TestMcDropoutPredict:
             mc_dropout_predict(quantile_model(in_channels=4), x, t_passes=5,
                                rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("width, depth, hw, t_passes, rate", [
+        (4, 1, (9, 11), 2, 0.3),   # H, W not multiples of 2**depth: pad and crop
+        (4, 1, (8, 8), 7, 0.5),
+        (4, 3, (13, 10), 7, 0.3),
+        (8, 3, (17, 21), 2, 0.1),
+        (2, 2, (4, 4), 6, 0.3),    # deepest level 1x1: one-row products
+        (1, 1, (12, 10), 7, 0.3),  # width 1: one-column products
+        (4, 2, (9, 11), 7, 0.0),   # rate 0: no generator at all
+    ])
+    def test_batch_equals_loop_of_single_passes(self, width, depth, hw, t_passes, rate, rng):
+        from griduq.model import predict_gaussian
+        params = build(ModelConfig(in_channels=4, base_width=width, depth=depth,
+                                   dropout_rate=rate), seed=0)
+        x = rng.normal(size=(4, *hw)).astype(np.float32)
+        batch_rng, loop_rng = [np.random.default_rng(9) if rate else None for _ in range(2)]
+        pred = mc_dropout_predict(params, x, t_passes, batch_rng)
+        passes = [predict_gaussian(params, x, dropout_active=True, rng=loop_rng)
+                  for _ in range(t_passes)]
+        want = aggregate_mc_passes([mu for mu, _ in passes], [s2 for _, s2 in passes])
+        for got, exp in zip((pred.mean, pred.epistemic, pred.aleatoric), want):
+            assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+        if rate:
+            assert batch_rng.random() == loop_rng.random()
+        else:
+            assert np.all(pred.epistemic == 0.0)
+
     def test_mc_mean_beats_single_pass_on_average(self, rng):
         # variance reduction: averaging T stochastic passes cannot hurt RMSE
         from griduq.model import predict_gaussian
