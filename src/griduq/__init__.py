@@ -15,7 +15,7 @@ from .errors import (CalibrationError, ContractError, DimensionError, FormatErro
                      GridUQError, TrainingError)
 from .losses import gaussian_nll, pinball, quantile_loss
 from .metrics import (MetricsReport, StationScore, empirical_coverage, epistemic_stats,
-                      evaluate_runs, extrapolate, interval_stats, masked_rmse, rank_stations)
+                      evaluate_runs, interval_stats, masked_rmse, rank_stations)
 from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
                     gaussian_moments, predict_gaussian, predict_quantiles)
 from .train import RunRecord, TrainConfig, fit, train_all_seeds, train_one

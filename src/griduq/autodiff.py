@@ -16,6 +16,7 @@ never share state.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from pathlib import Path
@@ -630,6 +631,17 @@ CHECKPOINT_MAGIC = b"GUQW"
 CHECKPOINT_VERSION = 1
 
 
+def write_atomic(path, payload: bytes) -> None:
+    """Write a file through a temp file renamed into place, so it is never seen half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, params: Mapping[str, Tensor]) -> None:
     """Write named tensors in insertion order; byte output is deterministic."""
     buf = bytearray()
@@ -648,7 +660,7 @@ def save_checkpoint(path, params: Mapping[str, Tensor]) -> None:
         for d in t.data.shape:
             buf += struct.pack("<I", d)
         buf += np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> dict[str, Tensor]:

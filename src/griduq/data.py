@@ -18,6 +18,7 @@ in from the (lat0, lon0) top-left corner.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import math
 import struct
 import warnings
@@ -226,6 +227,12 @@ def read_dataset(path) -> tuple[list[GridSample], RegionSpec]:
             raise FormatError(
                 f"{root}: {s.date} has shape {s.x.shape}, manifest says {(channels, spec.h, spec.w)}")
     return samples, spec
+
+
+def dataset_fingerprint(samples: list[GridSample]) -> str:
+    """Hash of the sorted day dates and the (C, H, W) shape, which the seeded splits assume."""
+    days = ",".join(sorted(s.date.isoformat() for s in samples))
+    return hashlib.sha256(f"{samples[0].x.shape}|{days}".encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

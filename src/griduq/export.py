@@ -76,11 +76,11 @@ def write_grid_csv(grid: np.ndarray, spec: RegionSpec, path) -> None:
     grid = np.asarray(grid)
     if grid.shape != (spec.h, spec.w):
         raise ContractError(f"write_grid_csv: grid {grid.shape} must match region {(spec.h, spec.w)}")
-    lines = ["row,col,lat,lon,value"]
-    for r in range(spec.h):
-        for c in range(spec.w):
-            lat, lon = spec.cell_center(r, c)
-            lines.append(f"{r},{c},{_fmt(lat)},{_fmt(lon)},{_fmt(grid[r, c])}")
+    lats = [_fmt(spec.cell_center(r, 0)[0]) for r in range(spec.h)]  # lat varies by row only
+    lons = [_fmt(spec.cell_center(0, c)[1]) for c in range(spec.w)]
+    lines = ["row,col,lat,lon,value"] + [f"{r},{c},{lats[r]},{lons[c]},{_fmt(v)}"
+                                         for r, row in enumerate(grid.tolist())
+                                         for c, v in enumerate(row)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -4,26 +4,34 @@ Grid-valued UQ scores are reduced the same way throughout: per-cell mean
 over the days a cell is masked, then max/min/average across covered
 cells. Point-error metrics pool squared errors over every masked
 pixel-day first and aggregate across seeds second, so per-seed values
-and their exact population mean/variance are both reported.
+and their exact population mean/variance are both reported. All four
+scoring stages read each seed's predictions from ``heldout_predictions``.
 """
 
 from __future__ import annotations
 
 import datetime
+import hashlib
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .autodiff import Tensor, load_checkpoint, save_checkpoint
 from .data import GridSample, RegionSpec, split, standardize
-from .errors import ContractError
-from .model import HEAD_GAUSSIAN, UNetParams, predict_quantiles
-from .train import (TRAIN_FRAC, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, load_run_params,
-                    read_run_config, read_runs_log)
+from .errors import ContractError, FormatError
+from .train import (CONFIG_NAME, TRAIN_FRAC, RunRecord, TrainConfig, UQ_CQR, UQ_MCD,
+                    load_run_params, read_run_config, read_runs_log)
 from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
+# Bump when stored held-out predictions would no longer match a fresh compute
+# (the forward pass, EVAL_RNG_TAG or the stored grids change).
+HELDOUT_VERSION = 1
+HELDOUT_GRIDS = {UQ_MCD: ("mean", "epistemic", "aleatoric"), UQ_CQR: ("lo", "mid", "hi")}
 
 
 def masked_rmse(pred: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
@@ -113,17 +121,19 @@ def empirical_coverage(preds: Sequence[CqrPrediction],
     return hits / total
 
 
-def quantile_crossing_rate(params: UNetParams, samples: Sequence[GridSample]) -> float:
+def quantile_crossing_rate(bands: Sequence[CqrPrediction],
+                           samples: Sequence[GridSample]) -> float:
     """Fraction of masked pixel-days where the raw head has q_lo > q_hi.
 
-    Measured before conformal widening, on already-standardized inputs.
+    Takes the raw bands (qhat 0), so it measures the head before conformal
+    widening.
     """
+    if len(bands) != len(samples):
+        raise ContractError("quantile_crossing_rate: need matching band/sample lists")
     crossed = 0
     total = 0
-    for s in samples:
-        quantiles = predict_quantiles(params, s.x)
-        lo, hi = quantiles[0], quantiles[-1]
-        crossed += int(np.sum(lo[s.mask] > hi[s.mask]))
+    for band, s in zip(bands, samples):
+        crossed += int(np.sum(band.lo[s.mask] > band.hi[s.mask]))
         total += int(s.mask.sum())
     if total == 0:
         raise ContractError("quantile_crossing_rate: no masked pixels")
@@ -160,18 +170,95 @@ def _population_stats(values: Sequence[float]) -> tuple[float, float, float]:
     return mean, variance, math.sqrt(variance)
 
 
-def _seed_val_split(samples: list[GridSample], config: TrainConfig, seed: int) -> list[GridSample]:
-    if config.uq_method == UQ_CQR:
-        _, _, val_set = split(samples, TRAIN_FRAC, calib=True, seed=seed)
+def _open_runs(samples: list[GridSample], runs_dir) -> tuple[TrainConfig, list[RunRecord]]:
+    """Read a runs directory's config and seeds, checking it was trained on this dataset."""
+    config, _ = read_run_config(runs_dir, samples)
+    records = read_runs_log(runs_dir)
+    if not records:
+        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
+    return config, records
+
+
+@dataclass(frozen=True)
+class HeldOut:
+    """One seed's held-out days (raw, date order) and predictions; for CQR, ``raw``
+    holds the bands before ``preds`` were widened by the seed's qhat."""
+
+    days: list[GridSample]
+    preds: list
+    raw: list
+
+
+def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample]) -> np.ndarray:
+    """SHA-256 of every input of a seed's held-out predictions, one byte per float."""
+    parts = [f"{HELDOUT_VERSION}|{record.seed}".encode()]
+    parts += [(Path(runs_dir) / name).read_bytes()
+              for name in (CONFIG_NAME, record.checkpoint, record.stats)]
+    for s in days:
+        parts += [s.date.isoformat().encode(), np.ascontiguousarray(s.x, dtype="<f4")]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(memoryview(part).nbytes.to_bytes(8, "little"))
+        digest.update(part)
+    return np.frombuffer(digest.digest(), dtype=np.uint8).astype(np.float32)
+
+
+def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir,
+                        record: RunRecord) -> HeldOut:
+    """One seed's predictions on its held-out days, computed once per runs directory.
+
+    The first call runs one forward per day (MCD: one generator seeded
+    [seed, EVAL_RNG_TAG] over the days in date order) and stores the MCD
+    mean/epistemic/aleatoric or raw CQR lo/mid/hi grids in
+    ``seed<N>_heldout.guqw``, with a key hashing the checkpoint, stats and
+    config.txt bytes, the seed, the held-out dates and raw inputs, and
+    HELDOUT_VERSION. Later calls load the file while the key matches. A
+    failed write costs a RuntimeWarning, not the result.
+    """
+    if config.uq_method == UQ_CQR and record.qhat is None:
+        raise ContractError(f"seed {record.seed}: CQR record has no qhat")
+    days = sorted(split(samples, TRAIN_FRAC, calib=config.uq_method == UQ_CQR,
+                        seed=record.seed)[-1], key=lambda s: s.date)
+    names = HELDOUT_GRIDS[config.uq_method]
+    path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
+    key = _heldout_key(runs_dir, record, days)
+    try:
+        stored = load_checkpoint(path)
+    except (OSError, FormatError):
+        stored = {}
+    shape = (len(days), *days[0].y.shape)
+    if (list(stored) == ["key", *names] and np.array_equal(stored["key"].data, key)
+            and all(stored[n].shape == shape for n in names)):
+        grids = {n: stored[n].data for n in names}
     else:
-        _, val_set = split(samples, TRAIN_FRAC, calib=False, seed=seed)
-    return sorted(val_set, key=lambda s: s.date)
+        params, stats = load_run_params(runs_dir, record)
+        xs = [s.x for s in standardize(days, stats)]
+        if config.uq_method == UQ_MCD:
+            rng = np.random.default_rng([record.seed, EVAL_RNG_TAG])
+            fresh = [mc_dropout_predict(params, x, config.t_passes, rng) for x in xs]
+        else:
+            fresh = [cqr_predict(params, x, 0.0, config.alpha) for x in xs]  # the raw band
+        grids = {n: np.stack([getattr(p, n) for p in fresh]) for n in names}
+        try:
+            save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})
+        except OSError as err:
+            warnings.warn(f"held-out predictions not stored: {err}", RuntimeWarning, stacklevel=2)
+    if config.uq_method == UQ_MCD:
+        preds = [McdPrediction(**{n: grids[n][i] for n in names}, passes=config.t_passes)
+                 for i in range(len(days))]
+        return HeldOut(days=days, preds=preds, raw=preds)
+    raw = [CqrPrediction(**{n: grids[n][i] for n in names}, qhat=0.0, alpha=config.alpha)
+           for i in range(len(days))]
+    return HeldOut(days=days, preds=[b.widened(record.qhat) for b in raw], raw=raw)
 
 
-def _check_channels(samples: list[GridSample], in_channels: int) -> None:
-    if samples[0].x.shape[0] != in_channels:
-        raise ContractError(
-            f"dataset has {samples[0].x.shape[0]} channels but runs were trained with {in_channels}")
+def _uq_grid(pred) -> np.ndarray:
+    """A day's UQ score grid: MCD epistemic variance or CQR interval length."""
+    return pred.epistemic if isinstance(pred, McdPrediction) else pred.interval_length
+
+
+def _point(pred) -> np.ndarray:
+    return pred.mean if isinstance(pred, McdPrediction) else pred.mid
 
 
 def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> MetricsReport:
@@ -180,39 +267,26 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     The split is recomputed from each record's seed, so the dataset must
     be the one the runs were trained on.
     """
-    config, in_channels = read_run_config(runs_dir)
-    records = read_runs_log(runs_dir)
-    if not records:
-        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    _check_channels(samples, in_channels)
-
+    config, records = _open_runs(samples, runs_dir)
     rmses = []
     triples = []
     coverages = []
     crossings = []
     for rec in records:
-        params, stats = load_run_params(runs_dir, rec)
-        val_set = _seed_val_split(samples, config, rec.seed)
-        val_std = standardize(val_set, stats)
-        masks = [s.mask for s in val_set]
+        held = heldout_predictions(samples, config, runs_dir, rec)
+        masks = [s.mask for s in held.days]
+        rmses.append(pooled_rmse([_point(p) for p in held.preds], held.days))
         if config.uq_method == UQ_MCD:
-            rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
-            preds = [mc_dropout_predict(params, s.x, config.t_passes, rng) for s in val_std]
-            rmses.append(pooled_rmse([p.mean for p in preds], val_set))
-            triples.append(epistemic_stats(preds, masks))
+            triples.append(epistemic_stats(held.preds, masks))
         else:
-            if rec.qhat is None:
-                raise ContractError(f"seed {rec.seed}: CQR record has no qhat")
-            preds = [cqr_predict(params, s.x, rec.qhat, config.alpha) for s in val_std]
-            rmses.append(pooled_rmse([p.mid for p in preds], val_set))
-            triples.append(interval_stats(preds, masks))
-            coverages.append(empirical_coverage(preds, val_set))
-            crossings.append(quantile_crossing_rate(params, val_std))
+            triples.append(interval_stats(held.preds, masks))
+            coverages.append(empirical_coverage(held.preds, held.days))
+            crossings.append(quantile_crossing_rate(held.raw, held.days))
 
     mean, variance, std = _population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
-        region=spec.name, uq_method=config.uq_method, n_channels=in_channels,
+        region=spec.name, uq_method=config.uq_method, n_channels=samples[0].x.shape[0],
         n_seeds=len(records), rmse_per_seed=tuple(rmses), rmse_mean=mean,
         rmse_variance=variance, rmse_std=std)
     if config.uq_method == UQ_MCD:
@@ -258,45 +332,26 @@ def rank_stations(uq_grid: np.ndarray, rmse_grid: np.ndarray, mask: np.ndarray,
     return sorted(rows, key=lambda s: (-s.uq_score, s.row, s.col))
 
 
-def _per_seed_uq_and_errors(samples, config: TrainConfig, rec: RunRecord, params, stats):
-    """One seed's val-split UQ grids, point predictions and samples."""
-    val_set = _seed_val_split(samples, config, rec.seed)
-    val_std = standardize(val_set, stats)
-    if config.uq_method == UQ_MCD:
-        rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
-        preds = [mc_dropout_predict(params, s.x, config.t_passes, rng) for s in val_std]
-        uq_grids = [p.epistemic for p in preds]
-        points = [p.mean for p in preds]
-    else:
-        preds = [cqr_predict(params, s.x, rec.qhat, config.alpha) for s in val_std]
-        uq_grids = [p.interval_length for p in preds]
-        points = [p.mid for p in preds]
-    return val_set, uq_grids, points
-
-
 def rank_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> list[StationScore]:
     """Aggregate UQ score and RMSE per station cell across all seeds, ranked.
 
     The UQ score is the CQR interval length or the MCD epistemic
     variance, time-averaged per cell and then averaged over seeds.
     """
-    config, in_channels = read_run_config(runs_dir)
-    records = read_runs_log(runs_dir)
-    if not records:
-        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    _check_channels(samples, in_channels)
+    config, records = _open_runs(samples, runs_dir)
     seed_means = []
     covered_any = None
     sq_sum = np.zeros((spec.h, spec.w), dtype=np.float64)
     sq_cnt = np.zeros((spec.h, spec.w), dtype=np.int64)
     for rec in records:
-        params, stats = load_run_params(runs_dir, rec)
-        val_set, uq_grids, points = _per_seed_uq_and_errors(samples, config, rec, params, stats)
-        mean, covered = time_mean_over_masked(uq_grids, [s.mask for s in val_set])
+        held = heldout_predictions(samples, config, runs_dir, rec)
+        mean, covered = time_mean_over_masked([_uq_grid(p) for p in held.preds],
+                                              [s.mask for s in held.days])
         seed_means.append(mean)
         covered_any = covered if covered_any is None else (covered_any | covered)
-        for point, s in zip(points, val_set):
-            diff = (point.astype(np.float64) - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2
+        for pred, s in zip(held.preds, held.days):
+            diff = (_point(pred).astype(np.float64)
+                    - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2
             sq_sum[s.mask] += diff[s.mask]
             sq_cnt[s.mask] += 1
     stacked = np.stack(seed_means)
@@ -346,79 +401,43 @@ def series_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
     MCD rows carry the central (1 - alpha) Gaussian band from the total
     predictive variance.
     """
-    config, in_channels = read_run_config(runs_dir)
-    records = read_runs_log(runs_dir)
-    if not records:
-        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    _check_channels(samples, in_channels)
+    config, records = _open_runs(samples, runs_dir)
     row, col = spec.nearest_cell(lat, lon)
-    rec = records[0]
-    params, stats = load_run_params(runs_dir, rec)
-    val_set = _seed_val_split(samples, config, rec.seed)
-    val_std = standardize(val_set, stats)
+    held = heldout_predictions(samples, config, runs_dir, records[0])
     z = _normal_quantile(1.0 - config.alpha / 2.0)
     rows = []
-    rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
-    for s_raw, s in zip(val_set, val_std):
-        if not s_raw.mask[row, col]:
+    for s, pred in zip(held.days, held.preds):
+        if not s.mask[row, col]:
             continue
         if config.uq_method == UQ_MCD:
-            pred = mc_dropout_predict(params, s.x, config.t_passes, rng)
             half = z * math.sqrt(float(pred.total_variance[row, col]))
             mid = float(pred.mean[row, col])
             lo, hi = mid - half, mid + half
         else:
-            pred = cqr_predict(params, s.x, rec.qhat, config.alpha)
             mid = float(pred.mid[row, col])
             lo, hi = float(pred.lo[row, col]), float(pred.hi[row, col])
-        rows.append(SeriesRow(date=s_raw.date, y=float(s_raw.y[row, col]),
-                              mid=mid, lo=lo, hi=hi))
+        rows.append(SeriesRow(date=s.date, y=float(s.y[row, col]), mid=mid, lo=lo, hi=hi))
     return (row, col), rows
-
-
-def extrapolate(params: UNetParams, samples_std: list[GridSample], day_indices: Sequence[int],
-                *, qhat: float | None = None, t_passes: int | None = None,
-                rng: np.random.Generator | None = None, alpha: float = 0.1):
-    """Full-grid UQ maps for 1-based day indices into a standardized sample list.
-
-    Every cell gets a value; no station mask is applied. Quantile-head
-    models produce the conformal interval length, Gaussian-head models
-    the epistemic variance. Masked cells carry exactly the values the
-    standard evaluation path sees, because it is the same forward pass.
-    """
-    out = []
-    for d in day_indices:
-        if not 1 <= d <= len(samples_std):
-            raise ContractError(
-                f"day index {d} out of range, valid indices are 1..{len(samples_std)}")
-        s = samples_std[d - 1]
-        if params.config.head == HEAD_GAUSSIAN:
-            if t_passes is None or rng is None:
-                raise ContractError("extrapolate: Gaussian head needs t_passes and rng")
-            grid = mc_dropout_predict(params, s.x, t_passes, rng).epistemic
-        else:
-            if qhat is None:
-                raise ContractError("extrapolate: quantile head needs qhat")
-            grid = cqr_predict(params, s.x, qhat, alpha).interval_length
-        if not np.all(np.isfinite(grid)):
-            raise ContractError(f"extrapolate: non-finite UQ values on day {d}")
-        out.append((d, s.date, grid))
-    return out
 
 
 def extrapolate_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
                          day_indices: Sequence[int]):
-    """Extrapolation maps for the first seed's held-out days."""
-    config, in_channels = read_run_config(runs_dir)
-    records = read_runs_log(runs_dir)
-    if not records:
-        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    _check_channels(samples, in_channels)
-    rec = records[0]
-    params, stats = load_run_params(runs_dir, rec)
-    val_std = standardize(_seed_val_split(samples, config, rec.seed), stats)
-    if config.uq_method == UQ_MCD:
-        rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
-        return extrapolate(params, val_std, day_indices, t_passes=config.t_passes, rng=rng,
-                           alpha=config.alpha)
-    return extrapolate(params, val_std, day_indices, qhat=rec.qhat, alpha=config.alpha)
+    """Full-grid UQ maps for 1-based indices into the first seed's held-out days.
+
+    Every cell gets a value; no station mask is applied. The maps are
+    eval's per-day epistemic variance (MCD) or conformal interval length
+    (CQR) from the stored held-out pass, so masked cells carry exactly the
+    values eval scores.
+    """
+    config, records = _open_runs(samples, runs_dir)
+    held = heldout_predictions(samples, config, runs_dir, records[0])
+    out = []
+    for d in day_indices:
+        if not 1 <= d <= len(held.days):
+            raise ContractError(
+                f"day index {d} out of range, valid indices are 1..{len(held.days)}")
+        grid = _uq_grid(held.preds[d - 1])
+        if not np.all(np.isfinite(grid)):
+            raise ContractError(f"extrapolate: non-finite UQ values on day {d}")
+        out.append((d, held.days[d - 1].date, grid))
+    return out

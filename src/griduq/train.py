@@ -4,7 +4,8 @@ A runs directory holds one ``config.txt`` (key=value), one ``runs.log``
 line per completed seed, and per seed: the best-validation checkpoint,
 the final-epoch checkpoint, and the channel statistics used to
 standardize inputs (all GUQW files). Everything a later evaluation needs
-to rebuild the model and reproduce the split lives in those files.
+to rebuild the model and reproduce the split lives in those files. Every
+file is written to a temp file and renamed into place.
 
 Training is bitwise deterministic for a fixed seed: the day shuffle is
 reseeded per (seed, epoch), the dropout stream is seeded per run, and
@@ -25,11 +26,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ChannelStats, GridSample, split, standardize
+from .data import ChannelStats, GridSample, dataset_fingerprint, split, standardize
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
-from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, DEFAULT_TAUS, ModelConfig, UNetParams,
-                    build, forward, gaussian_moments)
+from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
+                    gaussian_moments)
 from .uq import cqr_calibrate
 
 UQ_MCD = "mcd"
@@ -299,8 +300,7 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    in_channels = samples[0].x.shape[0]
-    write_run_config(out, config, in_channels)
+    write_run_config(out, config, samples)
 
     workers = resolve_workers(len(config.seeds), deterministic)
     records: dict[int, RunRecord] = {}
@@ -322,9 +322,7 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
                     failures.append((seed, f"{type(err).__name__}: {err}"))
 
     ordered = [records[s] for s in config.seeds if s in records]
-    with open(out / RUNS_LOG_NAME, "w") as fh:
-        for rec in ordered:
-            fh.write(rec.to_line() + "\n")
+    ad.write_atomic(out / RUNS_LOG_NAME, "".join(rec.to_line() + "\n" for rec in ordered).encode())
     aggregate = aggregate_seed_losses([r.best_val_loss for r in ordered])
     return ordered, aggregate, failures
 
@@ -342,7 +340,8 @@ def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
 # runs directory persistence
 
 
-def write_run_config(out_dir, config: TrainConfig, in_channels: int) -> None:
+def write_run_config(out_dir, config: TrainConfig, samples: list[GridSample]) -> None:
+    in_channels = samples[0].x.shape[0]
     lines = [
         f"uq_method={config.uq_method}",
         f"in_channels={in_channels}",
@@ -355,13 +354,15 @@ def write_run_config(out_dir, config: TrainConfig, in_channels: int) -> None:
         f"alpha={config.alpha!r}",
         f"t_passes={config.t_passes}",
         f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"taus={','.join(repr(t) for t in DEFAULT_TAUS)}",
+        f"taus={','.join(repr(t) for t in config.model_config(in_channels).taus)}",
+        f"dataset={dataset_fingerprint(samples)}",
     ]
-    (Path(out_dir) / CONFIG_NAME).write_text("\n".join(lines) + "\n")
+    ad.write_atomic(Path(out_dir) / CONFIG_NAME, ("\n".join(lines) + "\n").encode())
 
 
-def read_run_config(runs_dir) -> tuple[TrainConfig, int]:
-    """Rebuild the TrainConfig and input channel count from config.txt."""
+def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[TrainConfig, int]:
+    """Rebuild the TrainConfig and input channel count from config.txt; given samples,
+    raise ContractError unless the runs were trained on them (channels, ``dataset=``)."""
     fp = Path(runs_dir) / CONFIG_NAME
     if not fp.is_file():
         raise FormatError(f"{runs_dir}: missing {CONFIG_NAME}")
@@ -383,8 +384,19 @@ def read_run_config(runs_dir) -> tuple[TrainConfig, int]:
             base_width=int(fields["base_width"]),
             depth=int(fields["depth"]))
         in_channels = int(fields["in_channels"])
+        taus = tuple(float(t) for t in fields["taus"].split(",")) if "taus" in fields else None
     except (KeyError, ValueError) as err:
         raise FormatError(f"{fp}: missing or malformed key: {err}") from err
+    if taus is not None and taus != config.model_config(in_channels).taus:
+        raise FormatError(f"{fp}: taus={fields['taus']} differ from the quantile head's levels "
+                          f"{config.model_config(in_channels).taus}")
+    if samples is not None:
+        if samples[0].x.shape[0] != in_channels:
+            raise ContractError(f"dataset has {samples[0].x.shape[0]} channels "
+                                f"but runs were trained with {in_channels}")
+        if fields.get("dataset") not in (None, dataset_fingerprint(samples)):
+            raise ContractError(f"{runs_dir}: runs were trained on another dataset "
+                                "(its day dates or grid shape differ from this one)")
     return config, in_channels
 
 

@@ -60,6 +60,12 @@ class CqrPrediction:
     def interval_length(self) -> np.ndarray:
         return self.hi - self.lo
 
+    def widened(self, qhat: float) -> "CqrPrediction":
+        """This raw (qhat 0) band moved out by qhat on both sides; the median stays."""
+        q32 = np.float32(qhat)
+        return CqrPrediction(lo=self.lo - q32, mid=self.mid, hi=self.hi + q32, qhat=float(qhat),
+                             alpha=self.alpha)
+
 
 def aggregate_mc_passes(mus: Sequence[np.ndarray],
                         sigma2s: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,5 +158,4 @@ def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float,
     if len(quantiles) != 3:
         raise ContractError(f"cqr_predict expects a 3-quantile head, got {len(quantiles)} levels")
     lo, mid, hi = quantiles
-    q32 = np.float32(qhat)
-    return CqrPrediction(lo=lo - q32, mid=mid, hi=hi + q32, qhat=float(qhat), alpha=alpha)
+    return CqrPrediction(lo=lo, mid=mid, hi=hi, qhat=0.0, alpha=alpha).widened(qhat)

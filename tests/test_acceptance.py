@@ -531,7 +531,10 @@ def test_criterion_11_station_ranking(dense_world, dense_cqr, uq_maps):
         top = np.argsort(-scores, kind="stable")[:k]
         fractions[tag] = float((covered[top][:, 1] >= half).mean())
 
-    # the ranking pipeline itself: deterministic, ties broken on (row, col)
+    # the ranking pipeline itself: deterministic, ties broken on (row, col); the
+    # first call computes the held-out predictions, the second loads them
+    for stored in dense_cqr.glob("*_heldout.guqw"):
+        stored.unlink()
     first = metrics.rank_for_runs(samples, spec, dense_cqr)
     second = metrics.rank_for_runs(samples, spec, dense_cqr)
     deterministic = first == second

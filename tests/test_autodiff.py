@@ -581,6 +581,20 @@ class TestCheckpoint:
         for k in params:
             assert np.array_equal(loaded[k].data, params[k].data)
 
+    def test_failed_save_keeps_old_file_and_leaves_no_temp(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "model.guqw"
+        ad.save_checkpoint(path, self.make_params(rng))
+        old = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ad.os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            ad.save_checkpoint(path, self.make_params(rng))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.guqw"]
+
     def test_rewrite_is_byte_identical(self, tmp_path, rng):
         params = self.make_params(rng)
         p1, p2 = tmp_path / "a.guqw", tmp_path / "b.guqw"

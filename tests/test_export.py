@@ -79,6 +79,20 @@ class TestGridCsv:
         assert float(lat) == pytest.approx(44.95)
         assert float(lon) == pytest.approx(-109.95)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_cell_loop(self, tmp_path, rng, dtype):
+        spec = RegionSpec("t", 7, 9, lat0=42.5, lon0=-76.0)
+        grid = (rng.normal(size=(7, 9)) * 10.0 ** rng.integers(-8, 8, (7, 9))).astype(dtype)
+        grid[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        fp = tmp_path / "grid.csv"
+        write_grid_csv(grid, spec, fp)
+        want = ["row,col,lat,lon,value"]
+        for r in range(spec.h):
+            for c in range(spec.w):
+                lat, lon = spec.cell_center(r, c)
+                want.append(f"{r},{c},{float(lat):.9g},{float(lon):.9g},{float(grid[r, c]):.9g}")
+        assert fp.read_text() == "\n".join(want) + "\n"
+
     def test_shape_guard(self, tmp_path):
         with pytest.raises(ContractError):
             write_grid_csv(np.zeros((2, 2), np.float32), self.spec(), tmp_path / "g.csv")

@@ -1,19 +1,25 @@
+import dataclasses
 import datetime
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from griduq.data import GridSample, split
+from griduq import autodiff as ad
+from griduq import metrics, model
+from griduq import uq as uq_module
+from griduq.data import GridSample, split, standardize
 from griduq.errors import ContractError
-from griduq.metrics import (MetricsReport, SeriesRow, StationScore, empirical_coverage,
-                            epistemic_stats, evaluate_runs, extrapolate,
-                            extrapolate_for_runs, interval_stats, masked_rmse,
-                            pooled_rmse, quantile_crossing_rate, rank_for_runs,
+from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore,
+                            empirical_coverage, epistemic_stats, evaluate_runs,
+                            extrapolate_for_runs, heldout_predictions, interval_stats,
+                            masked_rmse, pooled_rmse, quantile_crossing_rate, rank_for_runs,
                             rank_stations, series_for_runs, time_mean_over_masked,
                             _normal_quantile, _population_stats)
 from griduq.model import HEAD_QUANTILE, ModelConfig, build
-from griduq.train import TRAIN_FRAC, load_run_params, read_run_config, read_runs_log
+from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_config,
+                          read_runs_log)
 from griduq.uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 from _oracles import rmse_loops
@@ -161,7 +167,8 @@ class TestCrossingRate:
         samples, _ = tiny_samples
         params = build(ModelConfig(in_channels=28, base_width=4, depth=1,
                                    dropout_rate=0.0, head=HEAD_QUANTILE), seed=3)
-        got = quantile_crossing_rate(params, samples[:4])
+        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0) for s in samples[:4]],
+                                     samples[:4])
         crossed = total = 0
         for s in samples[:4]:
             lo, _, hi = predict_quantiles(params, s.x)
@@ -284,6 +291,26 @@ class TestEvaluateRuns:
         assert report.rmse_per_seed[0] == pytest.approx(
             pooled_rmse([p.mid for p in preds], val), abs=1e-12)
 
+    def test_crossing_rate_is_measured_before_widening(self, tiny_samples, tiny_region,
+                                                       cqr_runs, tmp_path):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(cqr_runs, tmp_path)
+        raw, widened = [], []
+        for rec in read_runs_log(runs_dir):  # swap the lo and hi channels so pixels cross
+            tensors = ad.load_checkpoint(runs_dir / rec.checkpoint)
+            for name in ("head_w", "head_b"):
+                tensors[name].data[[0, 2]] = tensors[name].data[[2, 0]]
+            ad.save_checkpoint(runs_dir / rec.checkpoint, tensors)
+            params, stats = load_run_params(runs_dir, rec)
+            val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)[-1]
+            for rates, qhat in ((raw, 0.0), (widened, rec.qhat)):
+                bands = [cqr_predict(params, z.x, qhat) for z in standardize(val, stats)]
+                rates.append(np.mean(np.concatenate([(b.lo > b.hi)[s.mask]
+                                                     for b, s in zip(bands, val)])))
+        report = evaluate_runs(samples, tiny_region, runs_dir)
+        assert report.crossing_rate == pytest.approx(np.mean(raw), abs=1e-12)
+        assert np.mean(widened) < report.crossing_rate
+
 
 class TestRankForRuns:
     @pytest.mark.parametrize("runs", ["mcd_runs", "cqr_runs"])
@@ -350,12 +377,151 @@ class TestExtrapolate:
         with pytest.raises(ContractError):
             extrapolate_for_runs(samples, tiny_region, cqr_runs, [0])
 
-    def test_direct_guards(self, tiny_samples):
+    def test_mcd_maps_are_evals_epistemic_grids(self, tiny_samples, tiny_region, mcd_runs,
+                                                tmp_path):
         samples, _ = tiny_samples
-        gparams = build(ModelConfig(in_channels=28, base_width=4, depth=1), seed=0)
-        with pytest.raises(ContractError, match="t_passes"):
-            extrapolate(gparams, samples, [1])
-        qparams = build(ModelConfig(in_channels=28, base_width=4, depth=1,
-                                    head=HEAD_QUANTILE), seed=0)
-        with pytest.raises(ContractError, match="qhat"):
-            extrapolate(qparams, samples, [1])
+        runs = fresh_copy(mcd_runs, tmp_path)
+        want = evals_predictions(samples, runs)[0]
+        maps = extrapolate_for_runs(samples, tiny_region, runs, [2, 1])
+        assert [d for d, _, _ in maps] == [2, 1]
+        for d, _, grid in maps:
+            assert np.array_equal(grid, want[d - 1].epistemic)
+
+
+def fresh_copy(runs_dir, tmp_path):
+    """A copy of a runs directory without stored held-out predictions."""
+    return shutil.copytree(runs_dir, tmp_path / "runs",
+                           ignore=shutil.ignore_patterns("*_heldout.guqw"))
+
+
+def evals_predictions(samples, runs_dir):
+    """Per seed, eval's per-day predictions computed directly (CQR widened by qhat)."""
+    config, _ = read_run_config(runs_dir)
+    out = []
+    for rec in read_runs_log(runs_dir):
+        params, stats = load_run_params(runs_dir, rec)
+        val = split(samples, TRAIN_FRAC, calib=config.uq_method == "cqr", seed=rec.seed)[-1]
+        xs = [s.x for s in standardize(sorted(val, key=lambda s: s.date), stats)]
+        if config.uq_method == "mcd":
+            rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
+            out.append([mc_dropout_predict(params, x, config.t_passes, rng) for x in xs])
+        else:
+            out.append([cqr_predict(params, x, rec.qhat, config.alpha) for x in xs])
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GRIDS = {"mcd_runs": ("mean", "epistemic", "aleatoric"), "cqr_runs": ("lo", "mid", "hi")}
+
+
+class TestHeldOutPredictions:
+    def held(self, samples, runs):
+        config, _ = read_run_config(runs)
+        return [heldout_predictions(samples, config, runs, rec) for rec in read_runs_log(runs)]
+
+    @pytest.mark.parametrize("runs", ["mcd_runs", "cqr_runs"])
+    def test_cache_hit_equals_fresh_compute(self, runs, request, tiny_samples, tmp_path):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(request.getfixturevalue(runs), tmp_path)
+        cold = self.held(samples, runs_dir)
+        assert sorted(p.name for p in runs_dir.glob("*_heldout.guqw")) == [
+            "seed0_heldout.guqw", "seed1_heldout.guqw"]
+        warm = self.held(samples, runs_dir)
+        for held_cold, held_warm, direct in zip(cold, warm, evals_predictions(samples, runs_dir)):
+            assert [s.date for s in held_warm.days] == [s.date for s in held_cold.days]
+            for c, w, d in zip(held_cold.preds, held_warm.preds, direct):
+                for name in GRIDS[runs]:
+                    assert same_bits(getattr(w, name), getattr(c, name))
+                    assert same_bits(getattr(w, name), getattr(d, name))
+
+    @pytest.mark.parametrize("runs", ["mcd_runs", "cqr_runs"])
+    def test_one_forward_per_heldout_day_for_all_four_stages(self, runs, request, tiny_samples,
+                                                             tiny_region, tmp_path,
+                                                             monkeypatch):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(request.getfixturevalue(runs), tmp_path)
+        calls = []
+        forward = model.forward
+        for module in (model, uq_module):  # uq holds its own binding of forward
+            monkeypatch.setattr(module, "forward",
+                                lambda *a, **k: calls.append(1) or forward(*a, **k))
+        evaluate_runs(samples, tiny_region, runs_dir)
+        n_days = sum(len(h.days) for h in self.held(samples, runs_dir))
+        assert len(calls) == n_days
+        row, col = map(int, np.argwhere(samples[0].mask)[0])
+        rank_for_runs(samples, tiny_region, runs_dir)
+        series_for_runs(samples, tiny_region, runs_dir, *tiny_region.cell_center(row, col))
+        extrapolate_for_runs(samples, tiny_region, runs_dir, [1])
+        assert len(calls) == n_days
+
+    @pytest.mark.parametrize("change", ["checkpoint", "stats", "day"])
+    def test_changed_input_forces_recompute(self, change, tiny_samples, cqr_runs, tmp_path,
+                                            monkeypatch):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(cqr_runs, tmp_path)
+        before = self.held(samples, runs_dir)[0]
+        rec = read_runs_log(runs_dir)[0]
+        if change == "day":
+            day = before.days[0]
+            moved = dataclasses.replace(day, x=day.x + np.float32(1.0))
+            samples = [moved if s.date == day.date else s for s in samples]
+        else:
+            name = rec.checkpoint if change == "checkpoint" else rec.stats
+            tensors = ad.load_checkpoint(runs_dir / name)
+            first = next(iter(tensors.values()))
+            first.data[...] += np.float32(0.5)
+            ad.save_checkpoint(runs_dir / name, tensors)
+        calls = []
+        predict = metrics.cqr_predict
+        monkeypatch.setattr(metrics, "cqr_predict",
+                            lambda *a, **k: calls.append(1) or predict(*a, **k))
+        after = self.held(samples, runs_dir)[0]
+        assert len(calls) == len(before.days)  # seed 0 recomputed, seed 1 loaded
+        assert not np.array_equal(after.raw[0].mid, before.raw[0].mid)
+        again = self.held(samples, runs_dir)[0]
+        assert len(calls) == len(before.days)
+        assert same_bits(again.raw[0].mid, after.raw[0].mid)
+
+    def test_failed_write_still_scores(self, tiny_samples, tiny_region, mcd_runs, tmp_path,
+                                       monkeypatch):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(mcd_runs, tmp_path)
+
+        def refuse(path, payload):
+            raise PermissionError(13, "read-only runs directory", str(path))
+
+        monkeypatch.setattr(ad, "write_atomic", refuse)
+        with pytest.warns(RuntimeWarning, match="not stored"):
+            report = evaluate_runs(samples, tiny_region, runs_dir)
+        assert report == evaluate_runs(samples, tiny_region, mcd_runs)
+        assert not list(runs_dir.glob("*_heldout.guqw"))
+
+    def test_other_dataset_is_refused_by_all_four_stages(self, tiny_samples, tiny_region,
+                                                         cqr_runs, tmp_path):
+        samples, _ = tiny_samples
+        moved = [dataclasses.replace(s, date=s.date.replace(year=s.date.year + 1))
+                 for s in samples]
+        lat, lon = tiny_region.cell_center(*map(int, np.argwhere(samples[0].mask)[0]))
+        for stage in (lambda d: evaluate_runs(d, tiny_region, cqr_runs),
+                      lambda d: rank_for_runs(d, tiny_region, cqr_runs),
+                      lambda d: series_for_runs(d, tiny_region, cqr_runs, lat, lon),
+                      lambda d: extrapolate_for_runs(d, tiny_region, cqr_runs, [1])):
+            with pytest.raises(ContractError, match="another dataset"):
+                stage(moved)
+            stage(samples)
+
+    def test_config_without_dataset_key_still_loads(self, tiny_samples, tiny_region, cqr_runs,
+                                                    tmp_path):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(cqr_runs, tmp_path)
+        config = runs_dir / CONFIG_NAME
+        lines = config.read_text().splitlines()
+        assert any(line.startswith("dataset=") for line in lines)
+        config.write_text("".join(f"{line}\n" for line in lines
+                                  if not line.startswith("dataset=")))
+        assert read_run_config(runs_dir) == read_run_config(cqr_runs)
+        report = evaluate_runs(samples, tiny_region, runs_dir)
+        assert report == evaluate_runs(samples, tiny_region, cqr_runs)

@@ -6,15 +6,15 @@ import pytest
 
 from griduq import autodiff as ad
 from griduq.autodiff import Tensor
-from griduq.data import GridSample, split, standardize, ChannelStats
+from griduq.data import GridSample, dataset_fingerprint, split, standardize, ChannelStats
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, build, forward,
                           gaussian_moments)
-from griduq.train import (GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
+from griduq.train import (CONFIG_NAME, GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
                           aggregate_seed_losses, clip_grad_norm, fit, load_run_params,
                           read_run_config, read_runs_log, resolve_workers, train_all_seeds,
-                          train_one, _pooled_loss)
+                          train_one, write_run_config, _pooled_loss)
 
 
 def tiny_config(uq="mcd", **kw):
@@ -298,6 +298,28 @@ class TestHelpers:
         monkeypatch.setenv("GRIDUQ_THREADS", "0")
         with pytest.raises(ContractError):
             resolve_workers(4)
+
+    @pytest.mark.parametrize("taus, why", [("0.05,0.5,x", "malformed"),
+                                           ("0.1,0.5,0.9", "differ")])
+    def test_read_run_config_checks_taus(self, tiny_samples, tmp_path, taus, why):
+        samples, _ = tiny_samples
+        write_run_config(tmp_path, tiny_config("cqr"), samples)
+        config = tmp_path / CONFIG_NAME
+        assert "taus=0.05,0.5,0.95\n" in config.read_text()
+        config.write_text(config.read_text().replace("taus=0.05,0.5,0.95", f"taus={taus}"))
+        with pytest.raises(FormatError, match=why):
+            read_run_config(tmp_path)
+
+    def test_config_records_dataset(self, tiny_samples, tmp_path):
+        samples, _ = tiny_samples
+        write_run_config(tmp_path, tiny_config("mcd"), samples)
+        assert f"dataset={dataset_fingerprint(samples)}\n" in (tmp_path / CONFIG_NAME).read_text()
+        assert read_run_config(tmp_path, samples) == (tiny_config("mcd"), 28)
+        shifted = [replace(s, date=s.date + datetime.timedelta(days=1000)) for s in samples]
+        with pytest.raises(ContractError, match="another dataset"):
+            read_run_config(tmp_path, shifted)
+        assert dataset_fingerprint(list(reversed(samples))) == dataset_fingerprint(samples)
+        assert dataset_fingerprint(samples[:-1]) != dataset_fingerprint(samples)
 
     def test_read_run_config_missing(self, tmp_path):
         with pytest.raises(FormatError):
