@@ -4,7 +4,7 @@ Subcommands: gen, train, eval, rank, series, extrapolate. The
 GRIDUQ_THREADS environment variable caps seed-level parallelism during
 training; --deterministic forces a single worker for bitwise-identical
 reruns. Everything downstream of training is single-threaded and
-deterministic by construction.
+deterministic by construction, and reads only the day files it scores.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    samples, spec = data.read_dataset(args.data)
+    samples, spec = data.open_dataset(args.data)
     report = metrics.evaluate_runs(samples, spec, args.runs)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_report(report, args.out)
     print(f"wrote report to {args.out} (rmse_mean={report.rmse_mean:.6g})")
     return 0
@@ -133,23 +134,25 @@ def _cmd_eval(args) -> int:
 def _cmd_rank(args) -> int:
     if args.top < 1:
         raise GridUQError("--top must be >= 1")
-    samples, spec = data.read_dataset(args.data)
+    samples, spec = data.open_dataset(args.data)
     rows = metrics.rank_for_runs(samples, spec, args.runs)[:args.top]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_ranks_csv(rows, args.out)
     print(f"wrote top {len(rows)} stations to {args.out}")
     return 0
 
 
 def _cmd_series(args) -> int:
-    samples, spec = data.read_dataset(args.data)
+    samples, spec = data.open_dataset(args.data)
     (row, col), rows = metrics.series_for_runs(samples, spec, args.runs, args.lat, args.lon)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_series_csv(rows, args.out)
     print(f"wrote {len(rows)} rows for cell ({row}, {col}) to {args.out}")
     return 0
 
 
 def _cmd_extrapolate(args) -> int:
-    samples, spec = data.read_dataset(args.data)
+    samples, spec = data.open_dataset(args.data)
     maps = metrics.extrapolate_for_runs(samples, spec, args.runs, args.days)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

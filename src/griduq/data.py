@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -182,11 +183,7 @@ def read_manifest(path) -> dict[str, str]:
     return entries
 
 
-def _read_day_file(fp: Path) -> GridSample:
-    try:
-        date = datetime.date.fromisoformat(fp.stem)
-    except ValueError as err:
-        raise FormatError(f"{fp}: file name is not an ISO date") from err
+def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -> GridSample:
     blob = fp.read_bytes()
     if blob[:4] != DATASET_MAGIC:
         raise FormatError(f"{fp}: bad magic, not a GUQD day file")
@@ -198,6 +195,8 @@ def _read_day_file(fp: Path) -> GridSample:
     need = 12 + 4 * (c + 2) * h * w
     if len(blob) != need:
         raise FormatError(f"{fp}: expected {need} bytes for {c}+2 planes of {h}x{w}, got {len(blob)}")
+    if (c, h, w) != shape:
+        raise FormatError(f"{fp.parent}: {date} has shape {(c, h, w)}, manifest says {shape}")
     planes = np.frombuffer(blob, dtype="<f4", offset=12).reshape(c + 2, h, w).astype(np.float32)
     x = planes[:c]
     y = planes[c]
@@ -207,8 +206,31 @@ def _read_day_file(fp: Path) -> GridSample:
     return GridSample(date=date, x=x, y=y, mask=mask_plane == 1.0)
 
 
-def read_dataset(path) -> tuple[list[GridSample], RegionSpec]:
-    """Load all day files, sorted by date, and the region geometry."""
+class DayRecord:
+    """One day of a dataset opened by ``open_dataset``: ``date`` comes from the
+    file name; ``x``, ``y`` and ``mask`` are read and checked on first access, once."""
+
+    def __init__(self, root: Path, name: str, shape: tuple[int, int, int]):
+        try:
+            self.date = datetime.date.fromisoformat(name[:-len(".guq")])
+        except ValueError as err:
+            raise FormatError(f"{root / name}: file name is not an ISO date") from err
+        self._root, self._name, self._shape = root, name, shape
+        self._sample: GridSample | None = None
+
+    def load(self) -> GridSample:
+        if self._sample is None:
+            self._sample = _read_day_file(self._root / self._name, self.date, self._shape)
+        return self._sample
+
+    x = property(lambda self: self.load().x)
+    y = property(lambda self: self.load().y)
+    mask = property(lambda self: self.load().mask)
+
+
+def open_dataset(path) -> tuple[list[DayRecord], RegionSpec]:
+    """One lazily loaded record per day, sorted by date, and the region geometry;
+    reads only the manifest and the day-file names."""
     root = Path(path)
     mf = read_manifest(root)
     try:
@@ -218,15 +240,16 @@ def read_dataset(path) -> tuple[list[GridSample], RegionSpec]:
         channels = int(mf["channels"])
     except (KeyError, ValueError) as err:
         raise FormatError(f"{root}/{MANIFEST_NAME}: missing or malformed key: {err}") from err
-    files = sorted(root.glob("*.guq"))
-    if len(files) != n_days:
-        raise FormatError(f"{root}: manifest says {n_days} days but found {len(files)} day files")
-    samples = [_read_day_file(fp) for fp in files]
-    for s in samples:
-        if s.x.shape != (channels, spec.h, spec.w):
-            raise FormatError(
-                f"{root}: {s.date} has shape {s.x.shape}, manifest says {(channels, spec.h, spec.w)}")
-    return samples, spec
+    names = sorted(n for n in os.listdir(root) if n.endswith(".guq"))
+    if len(names) != n_days:
+        raise FormatError(f"{root}: manifest says {n_days} days but found {len(names)} day files")
+    return [DayRecord(root, n, (channels, spec.h, spec.w)) for n in names], spec
+
+
+def read_dataset(path) -> tuple[list[GridSample], RegionSpec]:
+    """Load all day files, sorted by date, and the region geometry."""
+    days, spec = open_dataset(path)
+    return [d.load() for d in days], spec
 
 
 def dataset_fingerprint(samples: list[GridSample]) -> str:

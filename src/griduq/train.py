@@ -1,11 +1,12 @@
 """Multi-seed training orchestration and the runs directory layout.
 
 A runs directory holds one ``config.txt`` (key=value), one ``runs.log``
-line per completed seed, and per seed: the best-validation checkpoint,
-the final-epoch checkpoint, and the channel statistics used to
-standardize inputs (all GUQW files). Everything a later evaluation needs
-to rebuild the model and reproduce the split lives in those files. Every
-file is written to a temp file and renamed into place.
+line per completed seed (rewritten as each seed finishes), and per seed:
+the best-validation checkpoint, the final-epoch checkpoint, and the
+channel statistics used to standardize inputs (all GUQW files).
+Everything a later evaluation needs to rebuild the model and reproduce
+the split lives in those files. Every file is written to a temp file and
+renamed into place.
 
 Training is bitwise deterministic for a fixed seed: the day shuffle is
 reseeded per (seed, epoch), the dropout stream is seeded per run, and
@@ -15,6 +16,7 @@ all reductions run in a fixed order.
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -300,29 +302,39 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # emptied before config.txt changes, so no old seed line outlives an interrupted retrain
+    ad.write_atomic(out / RUNS_LOG_NAME, b"")
     write_run_config(out, config, samples)
 
     workers = resolve_workers(len(config.seeds), deterministic)
     records: dict[int, RunRecord] = {}
     failures: list[tuple[int, str]] = []
+    lock = threading.Lock()
+
+    def run(seed: int) -> None:
+        record = train_one(config, samples, seed, out)
+        with lock:  # one runs.log rewrite at a time, in seed order
+            records[seed] = record
+            finished = [records[s] for s in config.seeds if s in records]
+            ad.write_atomic(out / RUNS_LOG_NAME,
+                            "".join(rec.to_line() + "\n" for rec in finished).encode())
+
     if workers == 1:
         for seed in config.seeds:
             try:
-                records[seed] = train_one(config, samples, seed, out)
+                run(seed)
             except Exception as err:  # noqa: BLE001 - seed isolation is the point
                 failures.append((seed, f"{type(err).__name__}: {err}"))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(train_one, config, samples, seed, out)
-                       for seed in config.seeds}
+            futures = {seed: pool.submit(run, seed) for seed in config.seeds}
             for seed, fut in futures.items():
                 try:
-                    records[seed] = fut.result()
+                    fut.result()
                 except Exception as err:  # noqa: BLE001
                     failures.append((seed, f"{type(err).__name__}: {err}"))
 
     ordered = [records[s] for s in config.seeds if s in records]
-    ad.write_atomic(out / RUNS_LOG_NAME, "".join(rec.to_line() + "\n" for rec in ordered).encode())
     aggregate = aggregate_seed_losses([r.best_val_loss for r in ordered])
     return ordered, aggregate, failures
 

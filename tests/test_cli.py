@@ -1,10 +1,27 @@
 """End-to-end runs of the console entry point on a tiny synthetic world."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from griduq import cli, data
+from griduq import cli, data, metrics, train
+from griduq.errors import FormatError
 from griduq.export import read_grid_csv
+
+SCORING_STAGES = ("eval", "rank", "series", "extrapolate")
+
+
+def _scoring_argv(stage, data_dir, runs_dir, out):
+    """argv of one scoring stage, writing under ``out`` (which need not exist)."""
+    samples, spec = data.open_dataset(data_dir)
+    rows, cols = np.nonzero(samples[0].mask)
+    lat, lon = spec.cell_center(int(rows[0]), int(cols[0]))
+    extra = {"eval": ["--out", out / "report.txt"],
+             "rank": ["--top", "5", "--out", out / "ranks.csv"],
+             "series": ["--lat", lat, "--lon", lon, "--out", out / "series.csv"],
+             "extrapolate": ["--days", "1,2", "--out", out / "maps"]}[stage]
+    return [str(a) for a in (stage, "--data", data_dir, "--runs", runs_dir, *extra)]
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +175,110 @@ class TestExtrapolate:
                        "--days", "99", "--out", str(tmp_path / "maps")])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", SCORING_STAGES)
+def test_out_into_missing_directory(pipeline, tmp_path, stage):
+    data_dir, runs_dir = pipeline
+    out = tmp_path / "new" / "dir"
+    assert cli.main(_scoring_argv(stage, data_dir, runs_dir, out)) == 0
+    assert any(out.iterdir())
+
+
+class TestScoringReadsHeldOutDays:
+    """A scoring stage reads the first day (for its shape) and the held-out days of the seeds it
+    scores: every seed for eval and rank, the first for series and extrapolate."""
+
+    @pytest.fixture()
+    def world(self, tiny_samples, tiny_region, tmp_path):
+        data.write_dataset(tiny_samples[0], tiny_region, tmp_path / "data")
+        return tmp_path / "data"
+
+    @staticmethod
+    def needed(samples, runs_dir, stage="eval"):
+        config, _ = train.read_run_config(runs_dir)
+        seeds = config.seeds[:1] if stage in ("series", "extrapolate") else config.seeds
+        held = {s.date for seed in seeds
+                for s in data.split(samples, train.TRAIN_FRAC, calib=config.uq_method == "cqr",
+                                    seed=seed)[-1]}
+        return {f"{d.isoformat()}.guq" for d in held | {samples[0].date}}
+
+    @staticmethod
+    def score_all(world, runs_dir, out):
+        for stage in SCORING_STAGES:
+            assert cli.main(_scoring_argv(stage, world, runs_dir, out)) == 0, stage
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_each_stage_reads_only_the_days_it_needs(self, runs, request, tiny_samples, world,
+                                                     tmp_path, monkeypatch):
+        runs_dir = request.getfixturevalue(runs)
+        read = []
+        real = data._read_day_file
+
+        def counted(fp, *args):
+            read.append(fp.name)
+            return real(fp, *args)
+
+        monkeypatch.setattr(data, "_read_day_file", counted)
+        assert len(self.needed(tiny_samples[0], runs_dir)) == 5  # of 24 days
+        for stage in SCORING_STAGES:
+            argv = _scoring_argv(stage, world, runs_dir, tmp_path / "out")
+            read.clear()
+            assert cli.main(argv) == 0
+            # each needed day once
+            assert sorted(read) == sorted(self.needed(tiny_samples[0], runs_dir, stage)), stage
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_corrupt_unneeded_day_leaves_outputs_unchanged(self, runs, request, tiny_samples,
+                                                           world, tmp_path):
+        runs_dir = request.getfixturevalue(runs)
+        before = self.score_all(world, runs_dir, tmp_path / "a")
+        spare = sorted(set(p.name for p in world.glob("*.guq"))
+                       - self.needed(tiny_samples[0], runs_dir))[-1]
+        (world / spare).write_bytes((world / spare).read_bytes()[:-4])
+        with pytest.raises(FormatError):
+            data.read_dataset(world)
+        assert self.score_all(world, runs_dir, tmp_path / "b") == before
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_corrupt_heldout_day_fails_every_stage(self, runs, request, tiny_samples, world,
+                                                   tmp_path, capsys):
+        runs_dir = request.getfixturevalue(runs)
+        first = f"{tiny_samples[0][0].date.isoformat()}.guq"
+        held = sorted(self.needed(tiny_samples[0], runs_dir) - {first})[0]
+        (world / held).write_bytes((world / held).read_bytes()[:-4])
+        capsys.readouterr()
+        for stage in SCORING_STAGES:
+            assert cli.main(_scoring_argv(stage, world, runs_dir, tmp_path / "out")) == 1, stage
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{held}: expected" in err, err
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_stored_predictions_of_eager_scoring_are_reused(self, runs, request, tiny_samples,
+                                                            tiny_region, world, tmp_path,
+                                                            monkeypatch):
+        runs_dir = tmp_path / "runs"
+        shutil.copytree(request.getfixturevalue(runs), runs_dir)
+        for old in runs_dir.glob("seed*_heldout.guqw"):
+            old.unlink()
+        # what every scoring stage did before datasets were opened lazily
+        metrics.evaluate_runs(*data.read_dataset(world), runs_dir)
+        stored = {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in runs_dir.glob("seed*_heldout.guqw")}
+        assert len(stored) == 2
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("held-out predictions were recomputed")
+
+        monkeypatch.setattr(metrics, "mc_dropout_predict", no_forward)
+        monkeypatch.setattr(metrics, "cqr_predict", no_forward)
+        self.score_all(world, runs_dir, tmp_path / "out")
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in stored} == stored
+        # the fingerprint of these 24 days of (28, 16, 16) grids, as computed before the change
+        pinned = "752b9e692ba7ef12e8890fbd3488eab3a030c91135a8f60f2e19d034f88769a5"
+        assert f"dataset={pinned}\n" in (runs_dir / "config.txt").read_text()
+        assert data.dataset_fingerprint(data.open_dataset(world)[0]) == pinned
 
 
 def test_no_command_is_usage_error():

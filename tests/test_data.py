@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
-                         RegionSpec, generate_synthetic, read_dataset, read_manifest,
+                         RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
                          region_europe, region_north_america, region_synthetic, split,
                          standardize, station_series, write_dataset)
 from griduq.errors import ContractError, DimensionError, FormatError
@@ -168,6 +168,17 @@ class TestDatasetFormat:
         blob[-4:] = struct.pack("<f", 0.5)
         fp.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            read_dataset(tmp_path / "ds")
+
+    def test_shape_differs_from_manifest(self, tmp_path):
+        self.write_tiny(tmp_path / "ds")
+        mf = tmp_path / "ds" / "manifest.txt"
+        mf.write_text(mf.read_text().replace("channels=3", "channels=4"))
+        days, _ = open_dataset(tmp_path / "ds")  # names and manifest only
+        assert [d.date for d in days] == [day(i) for i in range(3)]
+        with pytest.raises(FormatError, match=r"has shape \(3, 5, 4\), manifest says \(4, 5, 4\)"):
+            days[1].x
+        with pytest.raises(FormatError, match="manifest says"):
             read_dataset(tmp_path / "ds")
 
     def test_bad_date_name(self, tmp_path):

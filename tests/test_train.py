@@ -1,4 +1,6 @@
 import datetime
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +251,56 @@ class TestTrainAllSeeds:
         assert params.config.in_channels == 28
         assert stats.mean.shape == (28,)
         assert np.all(stats.std > 0)
+
+    @pytest.mark.parametrize("stop", [0, 1])
+    def test_interrupted_retrain_logs_only_its_finished_seeds(self, tiny_samples, tmp_path,
+                                                              monkeypatch, stop):
+        samples, _ = tiny_samples
+        stale = RunRecord(seed=0, best_val_loss=1.0, best_epoch=9, final_train_loss=1.0,
+                          qhat=99.0, checkpoint="seed0_best.guqw",
+                          final_checkpoint="seed0_final.guqw", stats="seed0_stats.guqw",
+                          wall_time_s=1.0)
+        (tmp_path / "runs.log").write_text(stale.to_line() + "\n"
+                                           + replace(stale, seed=1).to_line() + "\n")
+        real_train_one = train_one
+
+        def interrupted(config, samples, seed, out_dir):
+            if seed == stop:
+                raise KeyboardInterrupt
+            return real_train_one(config, samples, seed, out_dir)
+
+        monkeypatch.setattr("griduq.train.train_one", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train_all_seeds(tiny_config("cqr", epochs=1, seeds=(0, 1, 2)), samples, tmp_path,
+                            deterministic=True)
+        logged = read_runs_log(tmp_path)
+        assert [r.seed for r in logged] == list(range(stop))
+        assert all(r.qhat != stale.qhat and r.best_epoch == 1 for r in logged)
+
+    def test_threaded_seeds_log_every_seed_in_seed_order(self, tiny_samples, tmp_path,
+                                                         monkeypatch):
+        samples, _ = tiny_samples
+        seeds = (7, 3, 5, 0, 1, 2, 4, 6, 9, 8)
+
+        def fake_train_one(config, samples, seed, out_dir):
+            finish.wait(timeout=10)  # every seed finishes at once
+            return RunRecord(seed=seed, best_val_loss=float(seed), best_epoch=1,
+                             final_train_loss=0.0, qhat=None, checkpoint="c", final_checkpoint="f",
+                             stats="s", wall_time_s=0.0)
+
+        monkeypatch.setattr("griduq.train.train_one", fake_train_one)
+        monkeypatch.setenv("GRIDUQ_THREADS", str(len(seeds)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                finish = threading.Barrier(len(seeds))
+                records, _, failures = train_all_seeds(tiny_config("mcd", seeds=seeds), samples,
+                                                       tmp_path)
+                assert failures == []
+                assert [r.seed for r in read_runs_log(tmp_path)] == list(seeds)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRunRecord:
