@@ -85,14 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    if args.region != "synth" and (args.height is not None or args.width is not None):
+        raise GridUQError("--height/--width only apply to --region synth")
     if args.region == "na":
         spec = data.region_north_america()
     elif args.region == "eu":
         spec = data.region_europe()
     else:
-        spec = data.region_synthetic(args.height or 31, args.width or 49)
-    if args.region != "synth" and (args.height or args.width):
-        raise GridUQError("--height/--width only apply to --region synth")
+        spec = data.region_synthetic(31 if args.height is None else args.height,
+                                     49 if args.width is None else args.width)
     noise = data.NoiseProfile.parse(args.noise)
     samples, _ = data.generate_synthetic(spec, args.days, args.channels, noise,
                                          args.density, args.seed)

@@ -127,7 +127,11 @@ def _default_channel_names(c: int) -> list[str]:
 
 def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
                   channel_names: list[str] | None = None) -> None:
-    """Write a dataset directory; output bytes are a pure function of the inputs."""
+    """Write a dataset directory; output bytes are a pure function of the inputs.
+
+    A directory that holds day files this dataset would not overwrite is
+    refused before anything is written; nothing is deleted.
+    """
     if not samples:
         raise ContractError("write_dataset: no samples")
     c, h, w = samples[0].x.shape
@@ -138,6 +142,12 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
     if len(channel_names) != c:
         raise ContractError(f"{len(channel_names)} channel names for {c} channels")
     root = Path(path)
+    if root.is_dir():
+        ours = {f"{s.date.isoformat()}.guq" for s in samples}
+        stale = sorted(n for n in os.listdir(root) if n.endswith(".guq") and n not in ours)
+        if stale:
+            raise ContractError(f"{root} holds {len(stale)} day files this dataset would not "
+                                f"overwrite ({stale[0]}, ...); remove them or write elsewhere")
     root.mkdir(parents=True, exist_ok=True)
     lines = [
         f"region={spec.name}",
@@ -391,27 +401,31 @@ class GeneratorParams:
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, n_terms: int = 3):
-    """Sum of low-frequency sinusoids; returns (field evaluator, drift slot)."""
+    """Amplitudes and (n_terms, H, W) phase grids of a sum of low-frequency sinusoids."""
     amp = rng.uniform(0.3, 1.0, n_terms)
     fh = rng.uniform(0.2, 1.5, n_terms)
     fw = rng.uniform(0.2, 1.5, n_terms)
     phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
     rows = np.arange(h)[:, None] / max(h - 1, 1)
     cols = np.arange(w)[None, :] / max(w - 1, 1)
+    return amp, np.stack([2.0 * math.pi * (fh[k] * rows + fw[k] * cols) + phase[k]
+                          for k in range(n_terms)])
 
-    def at(day: int, drift: float) -> np.ndarray:
-        field = np.zeros((h, w), dtype=np.float64)
-        for k in range(n_terms):
-            field += amp[k] * np.sin(
-                2.0 * math.pi * (fh[k] * rows + fw[k] * cols) + phase[k] + drift * day)
+
+def _field_days(amp: np.ndarray, base: np.ndarray, drift: float, n_days: int) -> np.ndarray:
+    """The field on every day: one (H, W) grid when drift is 0, else (n_days, H, W)
+    by sin(base + d) = sin(base) cos(d) + cos(base) sin(d) with d = drift * day."""
+    field = sum(a * np.sin(b) for a, b in zip(amp, base))
+    if drift == 0.0:
         return field
-
-    return at
+    quad = sum(a * np.cos(b) for a, b in zip(amp, base))
+    d = drift * np.arange(n_days)
+    return np.multiply.outer(np.cos(d), field) + np.multiply.outer(np.sin(d), quad)
 
 
 def _station_mask(rng: np.random.Generator, h: int, w: int, density: float) -> np.ndarray:
     """Clustered Bernoulli stations: thin the rate by a smooth positive field."""
-    field = _smooth_field(rng, h, w)(0, 0.0)
+    field = _field_days(*_smooth_field(rng, h, w), 0.0, 1)
     weight = np.exp(1.5 * (field - field.mean()) / (field.std() + 1e-12))
     prob = np.clip(density * weight / weight.mean(), 0.0, 1.0)
     mask = rng.random((h, w)) < prob
@@ -436,6 +450,11 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
     drifting channels through a mild tanh nonlinearity, plus Gaussian
     observation noise. The station mask is sampled once and shared by
     every day. Identical arguments give bitwise-identical datasets.
+
+    Each channel is built for all days at once: a static field is one grid
+    and a drifting one is sin(base) cos(d) + cos(base) sin(d), d = drift *
+    day, so no sin grid is evaluated per day; a few float32 inputs differ
+    by one ulp from a per-day sin(base + d).
     """
     if channels not in VALID_CHANNEL_COUNTS:
         raise ContractError(f"channels must be one of {VALID_CHANNEL_COUNTS}, got {channels}")
@@ -447,29 +466,18 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
     rng = np.random.default_rng(seed)
 
     n_static = max(2, channels // 4)
-    fields = []
-    drifts = []
     rows = np.arange(h)[:, None] / max(h - 1, 1)
     cols = np.arange(w)[None, :] / max(w - 1, 1)
-    for c in range(channels):
-        if c == 0:
-            ramp = np.sin(0.5 * math.pi * rows) * np.ones((1, w))
-            fields.append(lambda day, drift, f=ramp: f)
-            drifts.append(0.0)
-        elif c == 1:
-            ramp = np.ones((h, 1)) * np.sin(0.5 * math.pi * cols)
-            fields.append(lambda day, drift, f=ramp: f)
-            drifts.append(0.0)
-        else:
-            fields.append(_smooth_field(rng, h, w))
-            drifts.append(0.0 if c < n_static else float(rng.uniform(0.05, 0.3)))
+    fields, drifts = [np.sin(0.5 * math.pi * rows), np.sin(0.5 * math.pi * cols)], [0.0, 0.0]
+    for c in range(2, channels):
+        fields.append(_smooth_field(rng, h, w))
+        drifts.append(0.0 if c < n_static else float(rng.uniform(0.05, 0.3)))
 
     # mixed physical units: per-channel affine so standardization has work to do
     scales = np.exp(rng.uniform(math.log(0.5), math.log(50.0), channels))
     offsets = rng.uniform(-2.0, 2.0, channels) * scales
 
-    first_drifting = n_static
-    target_channels = (first_drifting, first_drifting + 1, first_drifting + 2)
+    target_channels = (n_static, n_static + 1, n_static + 2)  # the first drifting channels
     if target_channels[-1] >= channels:
         raise ContractError(f"channels={channels} leaves no drifting channels for the target")
     params = GeneratorParams(
@@ -479,19 +487,21 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
         offsets=offsets.astype(np.float64), scales=scales.astype(np.float64))
 
     mask = _station_mask(rng, h, w, station_density)
-    sigma = noise_profile.sigma_grid(h, w)
-    samples = []
-    for day, date in enumerate(_dates(n_days)):
-        raw = np.stack([fields[c](day, drifts[c]) for c in range(channels)])
-        x = (offsets[:, None, None] + scales[:, None, None] * raw).astype(np.float32)
-        z = np.zeros((h, w), dtype=np.float64)
-        for idx, wgt in zip(params.target_channels, params.target_weights):
-            z += wgt * raw[idx]
-        clean = params.linear_coef * z + params.tanh_coef * np.tanh(z / params.tanh_scale)
-        y = clean + sigma * rng.standard_normal((h, w))
-        y = np.where(mask, y.astype(np.float32), np.float32(np.nan))
-        samples.append(GridSample(date=date, x=x, y=y, mask=mask.copy()))
-    return samples, params
+    # one channel's float64 block at a time, written straight into the float32 inputs
+    x = np.empty((n_days, channels, h, w), dtype=np.float32)
+    z = np.zeros((n_days, h, w))
+    weights = dict(zip(params.target_channels, params.target_weights))
+    for c, (field, drift) in enumerate(zip(fields, drifts)):
+        raw = field if c < 2 else _field_days(*field, drift, n_days)
+        x[:, c] = offsets[c] + scales[c] * raw
+        if c in weights:
+            z += weights[c] * raw
+        del raw
+    clean = params.linear_coef * z + params.tanh_coef * np.tanh(z / params.tanh_scale)
+    y = clean + noise_profile.sigma_grid(h, w) * rng.standard_normal((n_days, h, w))
+    y = np.where(mask, y.astype(np.float32), np.float32(np.nan))
+    return [GridSample(date=date, x=x[d], y=y[d], mask=mask.copy())
+            for d, date in enumerate(_dates(n_days))], params
 
 
 # ---------------------------------------------------------------------------

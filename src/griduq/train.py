@@ -283,7 +283,8 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
 
     qhat = None
     if config.uq_method == UQ_CQR:
-        qhat = cqr_calibrate(best_params, standardize(calib_set, stats), config.alpha)
+        qhat = cqr_calibrate(best_params, standardize(calib_set, stats), config.alpha,
+                             config.batch_size)
 
     return RunRecord(seed=seed, best_val_loss=result.best_val_loss,
                      best_epoch=result.best_epoch, final_train_loss=result.final_train_loss,

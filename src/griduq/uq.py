@@ -128,25 +128,33 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
     return float(np.partition(scores, k - 1)[k - 1])
 
 
-def conformity_scores(params: UNetParams, samples: Sequence[GridSample]) -> np.ndarray:
-    """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every day."""
+def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
+                      batch_size: int = 8) -> np.ndarray:
+    """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every day.
+
+    Days are forwarded batch_size at a time, dropout off, in sample order.
+    """
     if params.config.head != HEAD_QUANTILE:
         raise ContractError("conformity_scores needs a quantile-head model")
+    if batch_size < 1:
+        raise ContractError(f"conformity_scores: batch_size must be >= 1, got {batch_size}")
     pooled = []
-    for s in samples:
-        quantiles = predict_quantiles(params, s.x)
-        lo, hi = quantiles[0], quantiles[-1]
-        y = s.y[s.mask]
-        pooled.append(np.maximum(lo[s.mask] - y, y - hi[s.mask]).astype(np.float64))
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start:start + batch_size]
+        xb = np.stack([s.x for s in chunk]).astype(np.float32, copy=False)
+        bands = forward(params, Tensor(xb), dropout_active=False).data
+        for s, band in zip(chunk, bands):
+            y = s.y[s.mask]
+            pooled.append(np.maximum(band[0][s.mask] - y, y - band[-1][s.mask]).astype(np.float64))
     if not pooled:
         raise ContractError("conformity_scores: no calibration samples")
     return np.concatenate(pooled)
 
 
 def cqr_calibrate(params: UNetParams, calib_set: Sequence[GridSample],
-                  alpha: float = DEFAULT_ALPHA) -> float:
+                  alpha: float = DEFAULT_ALPHA, batch_size: int = 8) -> float:
     """One global qhat from the pooled calibration scores."""
-    return conformal_quantile(conformity_scores(params, calib_set), alpha)
+    return conformal_quantile(conformity_scores(params, calib_set, batch_size), alpha)
 
 
 def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float,

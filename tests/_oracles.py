@@ -4,9 +4,12 @@ Everything here is written as plain nested loops in float64 so that the
 vectorized float32 kernels have an independent ground truth to match.
 """
 
+import datetime
 import math
 
 import numpy as np
+
+from griduq.data import GeneratorParams, GridSample
 
 
 def conv2d_loops(x, w, b, stride=1, padding=0):
@@ -171,3 +174,71 @@ def spearman_loops(a, b):
     rb -= rb.mean()
     denom = math.sqrt(float((ra * ra).sum()) * float((rb * rb).sum()))
     return float((ra * rb).sum()) / denom
+
+
+def generate_synthetic_per_day(spec, n_days, channels, noise_profile, station_density, seed):
+    """``data.generate_synthetic`` as one sin(base + drift * day) grid per channel
+    per day: the same random draws in the same order, one day at a time."""
+    h, w = spec.h, spec.w
+    rng = np.random.default_rng(seed)
+    rows = np.arange(h)[:, None] / max(h - 1, 1)
+    cols = np.arange(w)[None, :] / max(w - 1, 1)
+
+    def smooth_field(n_terms=3):
+        amp = rng.uniform(0.3, 1.0, n_terms)
+        fh = rng.uniform(0.2, 1.5, n_terms)
+        fw = rng.uniform(0.2, 1.5, n_terms)
+        phase = rng.uniform(0.0, 2.0 * math.pi, n_terms)
+
+        def at(day, drift):
+            field = np.zeros((h, w), dtype=np.float64)
+            for k in range(n_terms):
+                field += amp[k] * np.sin(
+                    2.0 * math.pi * (fh[k] * rows + fw[k] * cols) + phase[k] + drift * day)
+            return field
+
+        return at
+
+    n_static = max(2, channels // 4)
+    fields, drifts = [], []
+    for c in range(channels):
+        if c == 0:
+            ramp = np.sin(0.5 * math.pi * rows) * np.ones((1, w))
+            fields.append(lambda day, drift, f=ramp: f)
+            drifts.append(0.0)
+        elif c == 1:
+            ramp = np.ones((h, 1)) * np.sin(0.5 * math.pi * cols)
+            fields.append(lambda day, drift, f=ramp: f)
+            drifts.append(0.0)
+        else:
+            fields.append(smooth_field())
+            drifts.append(0.0 if c < n_static else float(rng.uniform(0.05, 0.3)))
+    scales = np.exp(rng.uniform(math.log(0.5), math.log(50.0), channels))
+    offsets = rng.uniform(-2.0, 2.0, channels) * scales
+    params = GeneratorParams(
+        seed=seed, channels=channels, noise=noise_profile, station_density=station_density,
+        target_channels=(n_static, n_static + 1, n_static + 2), target_weights=(0.8, -0.6, 0.4),
+        linear_coef=6.0, tanh_coef=5.0, tanh_scale=2.0,
+        offsets=offsets.astype(np.float64), scales=scales.astype(np.float64))
+
+    field = smooth_field()(0, 0.0)
+    weight = np.exp(1.5 * (field - field.mean()) / (field.std() + 1e-12))
+    prob = np.clip(station_density * weight / weight.mean(), 0.0, 1.0)
+    mask = rng.random((h, w)) < prob
+    if not mask.any():
+        mask[np.unravel_index(np.argmax(prob), prob.shape)] = True
+
+    sigma = noise_profile.sigma_grid(h, w)
+    samples = []
+    for day in range(n_days):
+        raw = np.stack([fields[c](day, drifts[c]) for c in range(channels)])
+        x = (offsets[:, None, None] + scales[:, None, None] * raw).astype(np.float32)
+        z = np.zeros((h, w), dtype=np.float64)
+        for idx, wgt in zip(params.target_channels, params.target_weights):
+            z += wgt * raw[idx]
+        clean = params.linear_coef * z + params.tanh_coef * np.tanh(z / params.tanh_scale)
+        y = clean + sigma * rng.standard_normal((h, w))
+        y = np.where(mask, y.astype(np.float32), np.float32(np.nan))
+        date = datetime.date(2005 + day // 30, 6, 1 + day % 30)
+        samples.append(GridSample(date=date, x=x, y=y, mask=mask.copy()))
+    return samples, params

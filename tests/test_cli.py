@@ -62,6 +62,29 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", [("--region", "synth", "--height", "0"),
+                                      ("--region", "synth", "--width", "0"),
+                                      ("--region", "na", "--height", "0"),
+                                      ("--region", "eu", "--width", "0")])
+    def test_zero_dims_rejected(self, tmp_path, capsys, dims):
+        rc = cli.main(["gen", *dims, "--days", "5", "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_fewer_days_into_same_directory_refused(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        gen = ["gen", "--region", "synth", "--height", "6", "--width", "7", "--out", str(out)]
+        assert cli.main([*gen, "--days", "20"]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main([*gen, "--days", "12"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert cli.main([*gen, "--days", "20"]) == 0  # the same days overwrite their files
+        assert cli.main([*gen, "--days", "25"]) == 0
+        assert len(data.read_dataset(out)[0]) == 25
+
     def test_bad_noise_spec(self, tmp_path, capsys):
         rc = cli.main(["gen", "--region", "synth", "--days", "5", "--noise", "nope",
                        "--out", str(tmp_path / "d")])

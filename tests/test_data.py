@@ -1,9 +1,13 @@
+import dataclasses
 import datetime
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _oracles import generate_synthetic_per_day
+from griduq import data
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
                          RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
                          region_europe, region_north_america, region_synthetic, split,
@@ -187,6 +191,17 @@ class TestDatasetFormat:
         fp.rename(tmp_path / "ds" / "someday.guq")
         with pytest.raises(FormatError):
             read_dataset(tmp_path / "ds")
+
+    def test_stale_day_files_refused_before_writing(self, tmp_path):
+        path = tmp_path / "ds"
+        samples, spec = self.write_tiny(path, n=3)
+        (path / "notes.txt").write_text("kept")
+        before = {f.name: f.read_bytes() for f in path.iterdir()}
+        with pytest.raises(ContractError, match="2005-06-03.guq"):
+            write_dataset([make_sample(day(i), seed=i + 7) for i in range(2)], spec, path)
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+        write_dataset(samples, spec, path)  # a rewrite of the same days is allowed
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
 
     def test_duplicate_dates_rejected(self, tmp_path):
         spec = RegionSpec("t", 5, 4, 45.0, -110.0)
@@ -385,6 +400,73 @@ class TestSynthetic:
     def test_bad_density(self, tiny_region):
         with pytest.raises(ContractError):
             generate_synthetic(tiny_region, 2, 28, NoiseProfile("homoscedastic", 1.0), 0.0, 0)
+
+
+def assert_within_one_ulp(a, b):
+    assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    a, b = a[~nan], b[~nan]
+    assert np.all((a == b) | (np.nextafter(a, b) == b))
+
+
+class TestSyntheticMatchesPerDayOracle:
+    WORLDS = {
+        "synth28-hetero": (region_synthetic(17, 23), 75, 28, NoiseProfile("heteroscedastic"), 0.3, 4),
+        "na51-homo": (region_north_america(), 20, 51, NoiseProfile("homoscedastic", 3.0), 0.05, 0),
+        "one-day": (region_synthetic(9, 7), 1, 28, NoiseProfile("homoscedastic", 2.0), 0.4, 1),
+    }
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_matches_oracle(self, world):
+        args = self.WORLDS[world]
+        samples, params = generate_synthetic(*args)
+        expect, expect_params = generate_synthetic_per_day(*args)
+        for field in dataclasses.fields(GeneratorParams):
+            got, want = getattr(params, field.name), getattr(expect_params, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
+        assert [s.date for s in samples] == [s.date for s in expect]
+        for got, want in zip(samples, expect, strict=True):
+            assert np.array_equal(got.mask, want.mask)
+            assert_within_one_ulp(got.x, want.x)
+            assert_within_one_ulp(got.y, want.y)
+
+    def test_sin_grids_do_not_grow_with_days(self, monkeypatch):
+        grids = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name not in ("sin", "cos"):
+                    return fn
+
+                def counted(arg, *rest, **kwargs):
+                    grids.append(np.ndim(arg) >= 2)
+                    return fn(arg, *rest, **kwargs)
+                return counted
+
+        monkeypatch.setattr(data, "np", CountingNumpy())
+        counts = []
+        for n_days in (2, 40):
+            grids.clear()
+            generate_synthetic(region_synthetic(8, 9), n_days, 28,
+                               NoiseProfile("homoscedastic", 1.0), 0.3, seed=0)
+            counts.append(sum(grids))
+        assert counts[0] == counts[1] > 0
+
+    def test_peak_memory_is_output_plus_one_channel_block(self):
+        tracemalloc.start()
+        try:
+            samples, _ = generate_synthetic(region_synthetic(31, 49), 420, 28,
+                                            NoiseProfile("heteroscedastic"), 0.05, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(s.x.nbytes + s.y.nbytes + s.mask.nbytes for s in samples)
+        assert peak <= out_bytes + 32 * 2 ** 20
 
 
 class TestStationSeries:

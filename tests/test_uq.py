@@ -186,6 +186,27 @@ class TestCqr:
             manual.append(np.maximum(lo[s.mask] - y, y - hi[s.mask]))
         assert np.allclose(scores, np.concatenate(manual))
 
+    @pytest.mark.parametrize("batch_size", [1, 4, 8, 11, 32])
+    def test_batched_scores_equal_per_day_calls(self, batch_size):
+        # 13x11 pads to 16x12 at depth 2 and crops back; 11 days leave a
+        # remainder chunk at batch sizes 4 and 8
+        spec = region_synthetic(h=13, w=11)
+        samples, _ = generate_synthetic(spec, 11, 28, NoiseProfile("homoscedastic", 2.0),
+                                        0.5, seed=4)
+        params = build(ModelConfig(in_channels=28, base_width=4, depth=2,
+                                   head=HEAD_QUANTILE), seed=3)
+        scores = conformity_scores(params, samples, batch_size)
+        per_day = np.concatenate([conformity_scores(params, [s]) for s in samples])
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores, per_day)
+        qhat = cqr_calibrate(params, samples, alpha=0.1, batch_size=batch_size)
+        assert qhat == conformal_quantile(per_day, 0.1)
+
+    def test_batch_size_must_be_positive(self, tiny_world):
+        params, samples = tiny_world
+        with pytest.raises(ContractError):
+            conformity_scores(params, samples[:2], batch_size=0)
+
     def test_predict_widens_symmetrically(self, tiny_world):
         from griduq.model import predict_quantiles
         params, samples = tiny_world
