@@ -10,12 +10,11 @@ regression with a finite-sample coverage guarantee.
 from .autodiff import Tape, Tensor, backward, load_checkpoint, save_checkpoint
 from .data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile, RegionSpec,
                    generate_synthetic, read_dataset, region_europe, region_north_america,
-                   region_synthetic, split, standardize, station_series, write_dataset)
+                   region_synthetic, split, standardize, write_dataset)
 from .errors import (CalibrationError, ContractError, DimensionError, FormatError,
                      GridUQError, TrainingError)
 from .losses import gaussian_nll, pinball, quantile_loss
-from .metrics import (MetricsReport, StationScore, empirical_coverage, epistemic_stats,
-                      evaluate_runs, interval_stats, masked_rmse, rank_stations)
+from .metrics import MetricsReport, StationScore, empirical_coverage, evaluate_runs, rank_stations
 from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
                     gaussian_moments, predict_gaussian, predict_quantiles)
 from .train import RunRecord, TrainConfig, fit, train_all_seeds, train_one

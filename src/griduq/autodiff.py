@@ -40,7 +40,6 @@ __all__ = [
     "mul",
     "div",
     "neg",
-    "exp",
     "log",
     "softplus",
     "scale",
@@ -116,9 +115,6 @@ class Tape:
         popped = _tape_stack().pop()
         assert popped is self, "tapes must nest"
         return False
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
@@ -304,11 +300,11 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _shift_conv(x, weight, bias, 0, stride, 0, big_hw, (h, w))
 
 
-def maxpool2d(x: Tensor, k: int = 2) -> tuple[Tensor, np.ndarray]:
-    """k*k max pooling with stride k. Returns (values, window-local argmax).
+def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
+    """k*k max pooling with stride k.
 
     Ties route the gradient to the first maximum in row-major window
-    order; the returned indices are that argmax in [0, k*k).
+    order, and a NaN counts as a maximum.
     """
     _require_rank("maxpool2d", x, 4)
     n, c, h, w = x.shape
@@ -334,7 +330,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> tuple[Tensor, np.ndarray]:
         gx = gw.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
         return (gx,)
 
-    return _emit(out, (x,), backward_fn), idx
+    return _emit(out, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +391,6 @@ def neg(x: Tensor) -> Tensor:
         return (-g,)
 
     return _emit(-x.data, (x,), backward_fn)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def backward_fn(g: np.ndarray):
-        return (g * out,)
-
-    return _emit(out, (x,), backward_fn)
 
 
 def log(x: Tensor) -> Tensor:
@@ -549,23 +536,12 @@ def dropout_masks(p: float, rng: np.random.Generator, shapes: Sequence[tuple[int
     return masks
 
 
-def dropout(x: Tensor, p: float, active: bool, rng: np.random.Generator | None = None,
-            keep: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: keep with prob 1-p and scale by 1/(1-p).
+def dropout(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Inverted dropout: multiply by a ``keep`` mask from dropout_masks.
 
-    Identity when inactive or p == 0, so inference costs nothing unless a
-    caller (MC sampling) turns it on deliberately. A ``keep`` mask from
-    dropout_masks replaces the draw from rng; one with R times x's rows
-    applies R passes to x at once and returns R times the rows, pass-major.
+    A mask with R times x's rows applies R passes to x at once and returns
+    R times the rows, pass-major.
     """
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout: rate must be in [0, 1), got {p}")
-    if not active or p == 0.0:
-        return x
-    if keep is None:
-        if rng is None:
-            raise ContractError("dropout: an active, nonzero rate needs a random generator")
-        keep = dropout_masks(p, rng, [x.shape])[0]
     if keep.shape[1:] != x.shape[1:] or keep.shape[0] % x.shape[0]:
         raise DimensionError(f"dropout: keep mask {keep.shape} does not tile input {x.shape}")
     tiled = keep.reshape(-1, *x.shape)

@@ -116,6 +116,11 @@ class GridSample:
         if not np.all(np.isfinite(self.y[self.mask])):
             raise ContractError(f"{self.date}: masked target pixels must be finite")
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(C, H, W) of the inputs."""
+        return self.x.shape
+
 
 # ---------------------------------------------------------------------------
 # on-disk format
@@ -129,8 +134,9 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
                   channel_names: list[str] | None = None) -> None:
     """Write a dataset directory; output bytes are a pure function of the inputs.
 
-    A directory that holds day files this dataset would not overwrite is
-    refused before anything is written; nothing is deleted.
+    Mismatched shapes, duplicate dates and a directory that holds day files
+    this dataset would not overwrite are refused before anything is written;
+    nothing is deleted.
     """
     if not samples:
         raise ContractError("write_dataset: no samples")
@@ -141,6 +147,13 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
         channel_names = _default_channel_names(c)
     if len(channel_names) != c:
         raise ContractError(f"{len(channel_names)} channel names for {c} channels")
+    seen = set()
+    for s in samples:
+        if s.x.shape != (c, h, w):
+            raise DimensionError(f"{s.date}: shape {s.x.shape} differs from first day {(c, h, w)}")
+        if s.date in seen:
+            raise ContractError(f"duplicate date {s.date}")
+        seen.add(s.date)
     root = Path(path)
     if root.is_dir():
         ours = {f"{s.date.isoformat()}.guq" for s in samples}
@@ -161,13 +174,7 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
         f"channel_names={','.join(channel_names)}",
     ]
     (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
-    seen = set()
     for s in samples:
-        if s.x.shape != (c, h, w):
-            raise DimensionError(f"{s.date}: shape {s.x.shape} differs from first day {(c, h, w)}")
-        if s.date in seen:
-            raise ContractError(f"duplicate date {s.date}")
-        seen.add(s.date)
         target = np.where(s.mask, s.y.astype(np.float32), TARGET_SENTINEL)
         buf = bytearray()
         buf += DATASET_MAGIC
@@ -218,19 +225,20 @@ def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -
 
 class DayRecord:
     """One day of a dataset opened by ``open_dataset``: ``date`` comes from the
-    file name; ``x``, ``y`` and ``mask`` are read and checked on first access, once."""
+    file name and ``shape`` from the manifest; ``x``, ``y`` and ``mask`` are read
+    and checked on first access, once."""
 
     def __init__(self, root: Path, name: str, shape: tuple[int, int, int]):
         try:
             self.date = datetime.date.fromisoformat(name[:-len(".guq")])
         except ValueError as err:
             raise FormatError(f"{root / name}: file name is not an ISO date") from err
-        self._root, self._name, self._shape = root, name, shape
+        self._root, self._name, self.shape = root, name, shape
         self._sample: GridSample | None = None
 
     def load(self) -> GridSample:
         if self._sample is None:
-            self._sample = _read_day_file(self._root / self._name, self.date, self._shape)
+            self._sample = _read_day_file(self._root / self._name, self.date, self.shape)
         return self._sample
 
     x = property(lambda self: self.load().x)
@@ -265,7 +273,7 @@ def read_dataset(path) -> tuple[list[GridSample], RegionSpec]:
 def dataset_fingerprint(samples: list[GridSample]) -> str:
     """Hash of the sorted day dates and the (C, H, W) shape, which the seeded splits assume."""
     days = ",".join(sorted(s.date.isoformat() for s in samples))
-    return hashlib.sha256(f"{samples[0].x.shape}|{days}".encode()).hexdigest()
+    return hashlib.sha256(f"{samples[0].shape}|{days}".encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +510,3 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
     y = np.where(mask, y.astype(np.float32), np.float32(np.nan))
     return [GridSample(date=date, x=x[d], y=y[d], mask=mask.copy())
             for d, date in enumerate(_dates(n_days))], params
-
-
-# ---------------------------------------------------------------------------
-# station lookup
-
-
-def station_series(samples: list[GridSample], spec: RegionSpec, lat: float,
-                   lon: float) -> tuple[tuple[int, int], list[tuple[datetime.date, float]]]:
-    """Target time series at the station cell nearest (lat, lon).
-
-    Returns the resolved (row, col) and (date, value) pairs for the dates
-    where that cell is masked. An always-unmasked cell yields an empty
-    series and a warning rather than an error.
-    """
-    row, col = spec.nearest_cell(lat, lon)
-    series = [(s.date, float(s.y[row, col])) for s in samples if s.mask[row, col]]
-    if not series:
-        warnings.warn(f"cell ({row}, {col}) near ({lat}, {lon}) has no station coverage",
-                      RuntimeWarning, stacklevel=2)
-    return (row, col), series

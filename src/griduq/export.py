@@ -36,26 +36,20 @@ def _ramp(t: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
-def write_heatmap(grid: np.ndarray, path, vmin: float | None = None,
-                  vmax: float | None = None) -> None:
+def write_heatmap(grid: np.ndarray, path) -> None:
     """Render a 2-D grid as a binary P6 PPM.
 
-    Auto scale maps the finite min/max to the extreme colors; a constant
-    grid renders uniformly in the midpoint color.
+    The finite min/max map to the extreme colors; a constant grid renders
+    uniformly in the midpoint color.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2:
         raise ContractError(f"write_heatmap: grid must be 2-D, got shape {grid.shape}")
     finite = np.isfinite(grid)
-    if finite.any():
-        if vmin is None:
-            vmin = float(grid[finite].min())
-        if vmax is None:
-            vmax = float(grid[finite].max())
-    else:
-        vmin, vmax = 0.0, 0.0
+    vmin = float(grid[finite].min()) if finite.any() else 0.0
+    vmax = float(grid[finite].max()) if finite.any() else 0.0
     if vmax > vmin:
-        t = np.clip((grid - vmin) / (vmax - vmin), 0.0, 1.0)
+        t = (grid - vmin) / (vmax - vmin)
     else:
         t = np.full(grid.shape, 0.5)
     t = np.where(finite, t, 0.5)

@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .autodiff import Tensor, load_checkpoint, save_checkpoint
 from .data import GridSample, RegionSpec, split, standardize
 from .errors import ContractError, FormatError
 from .train import (CONFIG_NAME, TRAIN_FRAC, RunRecord, TrainConfig, UQ_CQR, UQ_MCD,
-                    load_run_params, read_run_config, read_runs_log)
+                    _population_stats, load_run_params, read_run_config, read_runs_log)
 from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
@@ -32,20 +33,6 @@ EVAL_RNG_TAG = 11
 # (the forward pass, EVAL_RNG_TAG or the stored grids change).
 HELDOUT_VERSION = 1
 HELDOUT_GRIDS = {UQ_MCD: ("mean", "epistemic", "aleatoric"), UQ_CQR: ("lo", "mid", "hi")}
-
-
-def masked_rmse(pred: np.ndarray, y: np.ndarray, mask: np.ndarray) -> float:
-    """Root mean squared error over masked pixels, float64 accumulation."""
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        raise ContractError(f"masked_rmse: mask must be boolean, got {mask.dtype}")
-    if pred.shape != y.shape or mask.shape != y.shape:
-        raise ContractError(
-            f"masked_rmse: shapes differ: pred {pred.shape}, y {y.shape}, mask {mask.shape}")
-    if not mask.any():
-        raise ContractError("masked_rmse: mask selects no pixels")
-    diff = pred[mask].astype(np.float64) - y[mask].astype(np.float64)
-    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
@@ -84,25 +71,23 @@ def time_mean_over_masked(grids: Sequence[np.ndarray],
     return mean, covered
 
 
-def _grid_extremes(mean_grid: np.ndarray, covered: np.ndarray) -> tuple[float, float, float]:
+def _uq_grid(pred) -> np.ndarray:
+    """A day's UQ score grid: MCD epistemic variance or CQR interval length."""
+    return pred.epistemic if isinstance(pred, McdPrediction) else pred.interval_length
+
+
+def _point(pred) -> np.ndarray:
+    return pred.mean if isinstance(pred, McdPrediction) else pred.mid
+
+
+def uq_stats(preds: Sequence, masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
+    """(max, min, avg) of the per-cell time-mean UQ score: CQR interval length in
+    ppb, MCD epistemic variance in ppb^2."""
+    mean, covered = time_mean_over_masked([_uq_grid(p) for p in preds], masks)
     if not covered.any():
         raise ContractError("statistics need at least one covered cell")
-    vals = mean_grid[covered]
+    vals = mean[covered]
     return float(vals.max()), float(vals.min()), float(vals.mean())
-
-
-def interval_stats(preds: Sequence[CqrPrediction],
-                   masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
-    """(max, min, avg) of per-cell time-mean conformal interval length, ppb."""
-    mean, covered = time_mean_over_masked([p.interval_length for p in preds], masks)
-    return _grid_extremes(mean, covered)
-
-
-def epistemic_stats(preds: Sequence[McdPrediction],
-                    masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
-    """(max, min, avg) of per-cell time-mean epistemic variance, ppb^2."""
-    mean, covered = time_mean_over_masked([p.epistemic for p in preds], masks)
-    return _grid_extremes(mean, covered)
 
 
 def empirical_coverage(preds: Sequence[CqrPrediction],
@@ -162,12 +147,6 @@ class MetricsReport:
     epistemic_avg: float | None = None
     coverage: float | None = None
     crossing_rate: float | None = None
-
-
-def _population_stats(values: Sequence[float]) -> tuple[float, float, float]:
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return mean, variance, math.sqrt(variance)
 
 
 def _open_runs(samples: list[GridSample], runs_dir) -> tuple[TrainConfig, list[RunRecord]]:
@@ -252,15 +231,6 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     return HeldOut(days=days, preds=[b.widened(record.qhat) for b in raw], raw=raw)
 
 
-def _uq_grid(pred) -> np.ndarray:
-    """A day's UQ score grid: MCD epistemic variance or CQR interval length."""
-    return pred.epistemic if isinstance(pred, McdPrediction) else pred.interval_length
-
-
-def _point(pred) -> np.ndarray:
-    return pred.mean if isinstance(pred, McdPrediction) else pred.mid
-
-
 def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> MetricsReport:
     """Score every seed of a runs directory on its own held-out days.
 
@@ -276,17 +246,15 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
         held = heldout_predictions(samples, config, runs_dir, rec)
         masks = [s.mask for s in held.days]
         rmses.append(pooled_rmse([_point(p) for p in held.preds], held.days))
-        if config.uq_method == UQ_MCD:
-            triples.append(epistemic_stats(held.preds, masks))
-        else:
-            triples.append(interval_stats(held.preds, masks))
+        triples.append(uq_stats(held.preds, masks))
+        if config.uq_method == UQ_CQR:
             coverages.append(empirical_coverage(held.preds, held.days))
             crossings.append(quantile_crossing_rate(held.raw, held.days))
 
     mean, variance, std = _population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
-        region=spec.name, uq_method=config.uq_method, n_channels=samples[0].x.shape[0],
+        region=spec.name, uq_method=config.uq_method, n_channels=samples[0].shape[0],
         n_seeds=len(records), rmse_per_seed=tuple(rmses), rmse_mean=mean,
         rmse_variance=variance, rmse_std=std)
     if config.uq_method == UQ_MCD:
@@ -339,49 +307,27 @@ def rank_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> list
     variance, time-averaged per cell and then averaged over seeds.
     """
     config, records = _open_runs(samples, runs_dir)
-    seed_means = []
-    covered_any = None
-    sq_sum = np.zeros((spec.h, spec.w), dtype=np.float64)
-    sq_cnt = np.zeros((spec.h, spec.w), dtype=np.int64)
+    seed_means, seed_covered, sq_errors, days_masks = [], [], [], []
     for rec in records:
         held = heldout_predictions(samples, config, runs_dir, rec)
-        mean, covered = time_mean_over_masked([_uq_grid(p) for p in held.preds],
-                                              [s.mask for s in held.days])
+        masks = [s.mask for s in held.days]
+        mean, covered = time_mean_over_masked([_uq_grid(p) for p in held.preds], masks)
         seed_means.append(mean)
-        covered_any = covered if covered_any is None else (covered_any | covered)
-        for pred, s in zip(held.preds, held.days):
-            diff = (_point(pred).astype(np.float64)
-                    - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2
-            sq_sum[s.mask] += diff[s.mask]
-            sq_cnt[s.mask] += 1
-    stacked = np.stack(seed_means)
-    present = ~np.isnan(stacked)
-    uq_mean = np.full((spec.h, spec.w), np.nan)
-    n_present = present.sum(axis=0)
-    uq_mean[n_present > 0] = (np.where(present, stacked, 0.0).sum(axis=0)[n_present > 0]
-                              / n_present[n_present > 0])
-    rmse_grid = np.full((spec.h, spec.w), np.nan)
-    have = sq_cnt > 0
-    rmse_grid[have] = np.sqrt(sq_sum[have] / sq_cnt[have])
-    return rank_stations(uq_mean, rmse_grid, covered_any & have, spec)
+        seed_covered.append(covered)
+        for p, s in zip(held.preds, held.days):
+            sq_errors.append((_point(p).astype(np.float64)
+                              - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2)
+        days_masks += masks
+    uq_mean, covered_any = time_mean_over_masked(seed_means, seed_covered)
+    mse, have = time_mean_over_masked(sq_errors, days_masks)
+    return rank_stations(uq_mean, np.sqrt(mse), covered_any & have, spec)
 
 
 # ---------------------------------------------------------------------------
 # time series and extrapolation
 
 
-def _normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection on erf; deterministic."""
-    if not 0.0 < p < 1.0:
-        raise ContractError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = -12.0, 12.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_normal_quantile = NormalDist().inv_cdf  # inverse standard normal CDF
 
 
 @dataclass(frozen=True)

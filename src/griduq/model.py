@@ -102,15 +102,10 @@ def build(config: ModelConfig, seed: int) -> UNetParams:
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
 
-    def conv(name: str, cout: int, cin: int, k: int):
+    def conv(name: str, cout: int, cin: int, k: int, transposed: bool = False):
         bound = math.sqrt(6.0 / (cin * k * k))
-        w = rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(np.float32)
-        tensors[name + "_w"] = Tensor(w, requires_grad=True)
-        tensors[name + "_b"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
-
-    def upconv(name: str, cin: int, cout: int, k: int):
-        bound = math.sqrt(6.0 / (cin * k * k))
-        w = rng.uniform(-bound, bound, size=(cin, cout, k, k)).astype(np.float32)
+        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         tensors[name + "_w"] = Tensor(w, requires_grad=True)
         tensors[name + "_b"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
@@ -125,7 +120,7 @@ def build(config: ModelConfig, seed: int) -> UNetParams:
     conv("botb", bottleneck, bottleneck, 3)
     for lvl in reversed(range(config.depth)):
         width = config.base_width * 2 ** lvl
-        upconv(f"up{lvl}", width * 2, width, 2)
+        conv(f"up{lvl}", width, width * 2, 2, transposed=True)
         conv(f"dec{lvl}a", width, width * 2, 3)
         conv(f"dec{lvl}b", width, width, 3)
     conv("head", config.out_channels, config.base_width, 1)
@@ -167,13 +162,13 @@ def forward(params: UNetParams, x: Tensor, dropout_active: bool = False,
     def double_conv(inp: Tensor, name: str) -> Tensor:
         inp = ad.relu(ad.conv2d(inp, t[f"{name}a_w"], t[f"{name}a_b"], padding=1))
         inp = ad.relu(ad.conv2d(inp, t[f"{name}b_w"], t[f"{name}b_b"], padding=1))
-        return ad.dropout(inp, cfg.dropout_rate, sampling, keep=keeps.pop(0) if keeps else None)
+        return ad.dropout(inp, keeps.pop(0)) if sampling else inp
 
     skips = []
     for lvl in range(cfg.depth):
         out = double_conv(out, f"enc{lvl}")
         skips.append(out)
-        out, _ = ad.maxpool2d(out, 2)
+        out = ad.maxpool2d(out, 2)
     out = double_conv(out, "bot")
     for lvl in reversed(range(cfg.depth)):
         out = ad.conv_transpose2d(out, t[f"up{lvl}_w"], t[f"up{lvl}_b"], stride=2)

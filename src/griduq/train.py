@@ -15,6 +15,7 @@ all reductions run in a fixed order.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -67,6 +68,8 @@ class TrainConfig:
             raise ContractError("at least one seed is required")
         if not 0.0 < self.alpha < 1.0:
             raise ContractError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.uq_method == UQ_MCD and self.t_passes < 2:
+            raise ContractError(f"MC-dropout needs t_passes >= 2, got {self.t_passes}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def model_config(self, in_channels: int) -> ModelConfig:
@@ -242,10 +245,6 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
                      best_epoch=best_epoch, final_train_loss=final_train)
 
 
-def _params_from_state(config: ModelConfig, state: dict[str, np.ndarray]) -> UNetParams:
-    return UNetParams(config, {name: Tensor(arr) for name, arr in state.items()})
-
-
 def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
               out_dir) -> RunRecord:
     """Train a single seed end to end and write its artifacts into out_dir.
@@ -276,7 +275,8 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
     best_name = f"seed{seed}_best.guqw"
     final_name = f"seed{seed}_final.guqw"
     stats_name = f"seed{seed}_stats.guqw"
-    best_params = _params_from_state(model_config, result.best_state)
+    best_params = UNetParams(model_config,
+                             {name: Tensor(arr) for name, arr in result.best_state.items()})
     ad.save_checkpoint(out / best_name, best_params.tensors)
     ad.save_checkpoint(out / final_name, params.tensors)
     ad.save_checkpoint(out / stats_name, {"mean": Tensor(stats.mean), "std": Tensor(stats.std)})
@@ -340,12 +340,18 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     return ordered, aggregate, failures
 
 
+def _population_stats(values: Sequence[float]) -> tuple[float, float, float]:
+    """Exact population mean, variance and standard deviation of a nonempty list."""
+    mean = sum(values) / len(values)
+    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    return mean, variance, math.sqrt(variance)
+
+
 def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
     """Exact population mean/variance of per-seed validation losses."""
     if not values:
         return {"n_seeds": 0, "val_loss_mean": float("nan"), "val_loss_variance": float("nan")}
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    mean, variance, _ = _population_stats(values)
     return {"n_seeds": len(values), "val_loss_mean": mean, "val_loss_variance": variance}
 
 
@@ -404,8 +410,8 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
         raise FormatError(f"{fp}: taus={fields['taus']} differ from the quantile head's levels "
                           f"{config.model_config(in_channels).taus}")
     if samples is not None:
-        if samples[0].x.shape[0] != in_channels:
-            raise ContractError(f"dataset has {samples[0].x.shape[0]} channels "
+        if samples[0].shape[0] != in_channels:
+            raise ContractError(f"dataset has {samples[0].shape[0]} channels "
                                 f"but runs were trained with {in_channels}")
         if fields.get("dataset") not in (None, dataset_fingerprint(samples)):
             raise ContractError(f"{runs_dir}: runs were trained on another dataset "

@@ -110,6 +110,15 @@ class TestTrain:
         assert rc == 1  # 9 days cannot satisfy the minimum split size
         assert "FAILED" in capsys.readouterr().err
 
+    def test_mcd_with_one_pass_refused_before_training(self, pipeline, tmp_path, capsys):
+        data_dir, _ = pipeline
+        rc = cli.main(["train", "--data", str(data_dir), "--uq", "mcd", "--epochs", "1",
+                       "--seeds", "0", "--base-width", "4", "--depth", "1", "--t-passes", "1",
+                       "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "t_passes >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "config.txt").exists()
+
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["train", "--data", "x", "--uq", "cqr", "--seeds", "1,a",
@@ -209,8 +218,8 @@ def test_out_into_missing_directory(pipeline, tmp_path, stage):
 
 
 class TestScoringReadsHeldOutDays:
-    """A scoring stage reads the first day (for its shape) and the held-out days of the seeds it
-    scores: every seed for eval and rank, the first for series and extrapolate."""
+    """A scoring stage reads only the held-out days of the seeds it scores: every seed for eval
+    and rank, the first for series and extrapolate. The grid shape comes from the manifest."""
 
     @pytest.fixture()
     def world(self, tiny_samples, tiny_region, tmp_path):
@@ -224,13 +233,16 @@ class TestScoringReadsHeldOutDays:
         held = {s.date for seed in seeds
                 for s in data.split(samples, train.TRAIN_FRAC, calib=config.uq_method == "cqr",
                                     seed=seed)[-1]}
-        return {f"{d.isoformat()}.guq" for d in held | {samples[0].date}}
+        return {f"{d.isoformat()}.guq" for d in held}
 
     @staticmethod
-    def score_all(world, runs_dir, out):
+    def files(out):
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def score_all(self, world, runs_dir, out):
         for stage in SCORING_STAGES:
             assert cli.main(_scoring_argv(stage, world, runs_dir, out)) == 0, stage
-        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return self.files(out)
 
     @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
     def test_each_stage_reads_only_the_days_it_needs(self, runs, request, tiny_samples, world,
@@ -244,7 +256,7 @@ class TestScoringReadsHeldOutDays:
             return real(fp, *args)
 
         monkeypatch.setattr(data, "_read_day_file", counted)
-        assert len(self.needed(tiny_samples[0], runs_dir)) == 5  # of 24 days
+        assert len(self.needed(tiny_samples[0], runs_dir)) == 4  # of 24 days
         for stage in SCORING_STAGES:
             argv = _scoring_argv(stage, world, runs_dir, tmp_path / "out")
             read.clear()
@@ -263,6 +275,19 @@ class TestScoringReadsHeldOutDays:
         with pytest.raises(FormatError):
             data.read_dataset(world)
         assert self.score_all(world, runs_dir, tmp_path / "b") == before
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_corrupt_first_day_leaves_outputs_unchanged(self, runs, request, tiny_samples, world,
+                                                        tmp_path):
+        runs_dir = request.getfixturevalue(runs)
+        first = f"{tiny_samples[0][0].date.isoformat()}.guq"
+        assert first not in self.needed(tiny_samples[0], runs_dir)
+        before = self.score_all(world, runs_dir, tmp_path / "a")
+        # built first: _scoring_argv reads the first day to pick the series station
+        argvs = [_scoring_argv(stage, world, runs_dir, tmp_path / "b") for stage in SCORING_STAGES]
+        (world / first).write_bytes((world / first).read_bytes()[:-4])
+        assert [cli.main(argv) for argv in argvs] == [0] * len(SCORING_STAGES)
+        assert self.files(tmp_path / "b") == before
 
     @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
     def test_corrupt_heldout_day_fails_every_stage(self, runs, request, tiny_samples, world,

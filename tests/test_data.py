@@ -11,7 +11,7 @@ from griduq import data
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
                          RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
                          region_europe, region_north_america, region_synthetic, split,
-                         standardize, station_series, write_dataset)
+                         standardize, write_dataset)
 from griduq.errors import ContractError, DimensionError, FormatError
 
 
@@ -208,6 +208,23 @@ class TestDatasetFormat:
         s = make_sample(day(0))
         with pytest.raises(ContractError):
             write_dataset([s, s], spec, tmp_path / "dup")
+
+    @pytest.mark.parametrize("bad", ["duplicate", "shape"])
+    def test_refused_write_writes_nothing(self, tmp_path, bad):
+        # days [06-01, 06-02, 06-02] once left the manifest and two day files behind
+        spec = RegionSpec("t", 5, 4, 45.0, -110.0)
+        last = make_sample(day(1), seed=9) if bad == "duplicate" else make_sample(day(2), c=2)
+        samples = [make_sample(day(0)), make_sample(day(1)), last]
+        err = ContractError if bad == "duplicate" else DimensionError
+        with pytest.raises(err):
+            write_dataset(samples, spec, tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+        path = tmp_path / "old"
+        self.write_tiny(path, n=2)
+        before = {f.name: f.read_bytes() for f in path.iterdir()}
+        with pytest.raises(err):
+            write_dataset(samples, spec, path)
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
 
     def test_region_shape_mismatch(self, tmp_path):
         spec = RegionSpec("t", 9, 9, 45.0, -110.0)
@@ -468,23 +485,3 @@ class TestSyntheticMatchesPerDayOracle:
         out_bytes = sum(s.x.nbytes + s.y.nbytes + s.mask.nbytes for s in samples)
         assert peak <= out_bytes + 32 * 2 ** 20
 
-
-class TestStationSeries:
-    def test_series_at_masked_cell(self, tiny_samples, tiny_region):
-        samples, _ = tiny_samples
-        row, col = np.argwhere(samples[0].mask)[0]
-        lat, lon = tiny_region.cell_center(int(row), int(col))
-        cell, series = station_series(samples, tiny_region, lat, lon)
-        assert cell == (row, col)
-        assert len(series) == len(samples)
-        assert series[0][0] == samples[0].date
-        assert series[0][1] == pytest.approx(float(samples[0].y[row, col]))
-
-    def test_unmasked_cell_warns_empty(self, tiny_samples, tiny_region):
-        samples, _ = tiny_samples
-        row, col = np.argwhere(~samples[0].mask)[0]
-        lat, lon = tiny_region.cell_center(int(row), int(col))
-        with pytest.warns(RuntimeWarning):
-            cell, series = station_series(samples, tiny_region, lat, lon)
-        assert cell == (row, col)
-        assert series == []

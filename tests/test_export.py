@@ -44,13 +44,6 @@ class TestHeatmap:
         img = read_ppm(fp)
         assert np.all(img == 255)
 
-    def test_explicit_range_clamps(self, tmp_path):
-        fp = tmp_path / "r.ppm"
-        write_heatmap(np.array([[-10.0, 10.0]]), fp, vmin=0.0, vmax=1.0)
-        img = read_ppm(fp)
-        assert tuple(img[0, 0]) == BLUE
-        assert tuple(img[0, 1]) == RED
-
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ContractError):
             write_heatmap(np.zeros(5), tmp_path / "x.ppm")

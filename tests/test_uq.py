@@ -1,9 +1,11 @@
+import datetime
+
 import numpy as np
 import pytest
 
-from griduq.data import NoiseProfile, generate_synthetic, region_synthetic
+from griduq.data import GridSample, NoiseProfile, generate_synthetic, region_synthetic
 from griduq.errors import CalibrationError, ContractError
-from griduq.metrics import empirical_coverage, masked_rmse
+from griduq.metrics import empirical_coverage, pooled_rmse
 from griduq.model import HEAD_QUANTILE, ModelConfig, build
 from griduq.uq import (aggregate_mc_passes, cqr_calibrate, cqr_predict,
                        conformal_quantile, conformity_scores, mc_dropout_predict)
@@ -116,15 +118,15 @@ class TestMcDropoutPredict:
         params = gaussian_model(dropout=0.4)
         x = rng.normal(size=(4, 8, 8)).astype(np.float32)
         y = rng.normal(size=(8, 8)).astype(np.float32)
-        mask = np.ones((8, 8), dtype=bool)
+        day = [GridSample(datetime.date(2005, 6, 1), x, y, np.ones((8, 8), dtype=bool))]
         mc, single = [], []
         for trial in range(20):
             pred = mc_dropout_predict(params, x, t_passes=8,
                                       rng=np.random.default_rng(100 + trial))
-            mc.append(masked_rmse(pred.mean, y, mask))
+            mc.append(pooled_rmse([pred.mean], day))
             mu, _ = predict_gaussian(params, x, dropout_active=True,
                                      rng=np.random.default_rng(500 + trial))
-            single.append(masked_rmse(mu, y, mask))
+            single.append(pooled_rmse([mu], day))
         assert np.mean(mc) <= np.mean(single) + 1e-6
 
 
