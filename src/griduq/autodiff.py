@@ -16,6 +16,7 @@ never share state.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -661,10 +662,13 @@ def load_checkpoint(path) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        size = math.prod(dims)  # exact: a corrupt shape cannot wrap around
         payload = take(4 * size, f"payload of '{name}'")
         data = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
         if name in params:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data, export, metrics, train
@@ -42,58 +43,49 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=None, help="synth region cols")
 
     tr = sub.add_parser("train", help="train one model per seed")
+    # each TrainConfig field is the dest of one flag, whose default is the field's
+    # (uq_method has none, and --uq is required)
+    tr.set_defaults(**{f.name: f.default for f in fields(train.TrainConfig)})
     tr.add_argument("--data", required=True)
-    tr.add_argument("--uq", choices=(train.UQ_MCD, train.UQ_CQR), required=True)
-    tr.add_argument("--epochs", type=int, default=200)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--dropout", type=float, default=0.1)
-    tr.add_argument("--batch", type=int, default=8)
-    tr.add_argument("--seeds", type=_parse_int_list, default=(0, 1, 2, 3, 4))
-    tr.add_argument("--alpha", type=float, default=0.1)
+    tr.add_argument("--uq", dest="uq_method", choices=(train.UQ_MCD, train.UQ_CQR),
+                    required=True)
+    tr.add_argument("--epochs", type=int)
+    tr.add_argument("--lr", type=float)
+    tr.add_argument("--dropout", dest="dropout_rate", type=float)
+    tr.add_argument("--batch", dest="batch_size", type=int)
+    tr.add_argument("--seeds", type=_parse_int_list)
+    tr.add_argument("--alpha", type=float)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--base-width", type=int, default=32)
-    tr.add_argument("--depth", type=int, default=3)
-    tr.add_argument("--t-passes", type=int, default=30)
+    tr.add_argument("--base-width", type=int)
+    tr.add_argument("--depth", type=int)
+    tr.add_argument("--t-passes", type=int)
     tr.add_argument("--deterministic", action="store_true",
                     help="single-threaded, bitwise-reproducible run")
 
-    ev = sub.add_parser("eval", help="score runs on their held-out days")
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--runs", required=True)
-    ev.add_argument("--out", required=True)
-
-    rk = sub.add_parser("rank", help="rank station cells by mean UQ score")
-    rk.add_argument("--data", required=True)
-    rk.add_argument("--runs", required=True)
-    rk.add_argument("--top", type=int, required=True)
-    rk.add_argument("--out", required=True)
-
-    se = sub.add_parser("series", help="observed vs predicted band at a station")
-    se.add_argument("--data", required=True)
-    se.add_argument("--runs", required=True)
-    se.add_argument("--lat", type=float, required=True)
-    se.add_argument("--lon", type=float, required=True)
-    se.add_argument("--out", required=True)
-
-    ex = sub.add_parser("extrapolate", help="full-grid UQ maps for selected days")
-    ex.add_argument("--data", required=True)
-    ex.add_argument("--runs", required=True)
-    ex.add_argument("--days", type=_parse_int_list, required=True,
-                    help="1-based indices into the held-out days, e.g. 1,7,15,21,30")
-    ex.add_argument("--out", required=True)
+    scoring = {}
+    for name, text in (("eval", "score runs on their held-out days"),
+                       ("rank", "rank station cells by mean UQ score"),
+                       ("series", "observed vs predicted band at a station"),
+                       ("extrapolate", "full-grid UQ maps for selected days")):
+        scoring[name] = sub.add_parser(name, help=text)
+        for flag in ("--data", "--runs", "--out"):
+            scoring[name].add_argument(flag, required=True)
+    scoring["rank"].add_argument("--top", type=int, required=True)
+    scoring["series"].add_argument("--lat", type=float, required=True)
+    scoring["series"].add_argument("--lon", type=float, required=True)
+    scoring["extrapolate"].add_argument(
+        "--days", type=_parse_int_list, required=True,
+        help="1-based indices into the held-out days, e.g. 1,7,15,21,30")
     return parser
 
 
 def _cmd_gen(args) -> int:
-    if args.region != "synth" and (args.height is not None or args.width is not None):
+    dims = {k: v for k, v in (("h", args.height), ("w", args.width)) if v is not None}
+    if args.region != "synth" and dims:
         raise GridUQError("--height/--width only apply to --region synth")
-    if args.region == "na":
-        spec = data.region_north_america()
-    elif args.region == "eu":
-        spec = data.region_europe()
-    else:
-        spec = data.region_synthetic(31 if args.height is None else args.height,
-                                     49 if args.width is None else args.width)
+    regions = {"na": data.region_north_america, "eu": data.region_europe,
+               "synth": data.region_synthetic}
+    spec = regions[args.region](**dims)  # synth's own defaults fill a missing dimension
     noise = data.NoiseProfile.parse(args.noise)
     samples, _ = data.generate_synthetic(spec, args.days, args.channels, noise,
                                          args.density, args.seed)
@@ -106,10 +98,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     samples, _ = data.read_dataset(args.data)
-    config = train.TrainConfig(
-        uq_method=args.uq, epochs=args.epochs, lr=args.lr, dropout_rate=args.dropout,
-        batch_size=args.batch, seeds=args.seeds, alpha=args.alpha,
-        base_width=args.base_width, depth=args.depth, t_passes=args.t_passes)
+    config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(train.TrainConfig)})
     records, aggregate, failures = train.train_all_seeds(
         config, samples, args.out, deterministic=args.deterministic)
     for rec in records:

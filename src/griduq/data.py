@@ -185,19 +185,41 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
         (root / f"{s.date.isoformat()}.guq").write_bytes(bytes(buf))
 
 
+def parse_fields(items, where, what: str = "line") -> dict[str, str]:
+    """The record grammar of manifest.txt, config.txt and runs.log: each nonblank item is
+    key=value with a nonempty key that no other item repeats, else FormatError."""
+    fields: dict[str, str] = {}
+    for i, item in enumerate(items, 1):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not (key or eq):
+            continue  # a blank item
+        if not (key and eq):
+            raise FormatError(f"{where}: {what} {i} is not key=value: {item!r}")
+        if key in fields:
+            raise FormatError(f"{where}: {what} {i} repeats key {key!r}")
+        fields[key] = value
+    return fields
+
+
+def convert_fields(fields: dict[str, str], where, converters: dict) -> dict:
+    """Each key of ``converters`` converted by its function, other keys ignored; a missing
+    key or a value that does not convert is a FormatError naming the key."""
+    out = {}
+    for key, convert in converters.items():
+        if key not in fields:
+            raise FormatError(f"{where}: missing key {key!r}")
+        try:
+            out[key] = convert(fields[key])
+        except ValueError as err:
+            raise FormatError(f"{where}: malformed {key}={fields[key]!r}") from err
+    return out
+
+
 def read_manifest(path) -> dict[str, str]:
     mf = Path(path) / MANIFEST_NAME
     if not mf.is_file():
         raise FormatError(f"{path}: missing {MANIFEST_NAME}")
-    entries: dict[str, str] = {}
-    for ln, line in enumerate(mf.read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"{mf}: line {ln} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+    return parse_fields(mf.read_text().splitlines(), mf)
 
 
 def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -> GridSample:
@@ -250,14 +272,11 @@ def open_dataset(path) -> tuple[list[DayRecord], RegionSpec]:
     """One lazily loaded record per day, sorted by date, and the region geometry;
     reads only the manifest and the day-file names."""
     root = Path(path)
-    mf = read_manifest(root)
-    try:
-        spec = RegionSpec(mf["region"], int(mf["h"]), int(mf["w"]),
-                          float(mf["lat0"]), float(mf["lon0"]), float(mf["cell_size"]))
-        n_days = int(mf["n_days"])
-        channels = int(mf["channels"])
-    except (KeyError, ValueError) as err:
-        raise FormatError(f"{root}/{MANIFEST_NAME}: missing or malformed key: {err}") from err
+    mf = convert_fields(read_manifest(root), root / MANIFEST_NAME,
+                        {"region": str, "h": int, "w": int, "lat0": float, "lon0": float,
+                         "cell_size": float, "n_days": int, "channels": int})
+    spec = RegionSpec(mf["region"], mf["h"], mf["w"], mf["lat0"], mf["lon0"], mf["cell_size"])
+    n_days, channels = mf["n_days"], mf["channels"]
     names = sorted(n for n in os.listdir(root) if n.endswith(".guq"))
     if len(names) != n_days:
         raise FormatError(f"{root}: manifest says {n_days} days but found {len(names)} day files")
@@ -374,13 +393,14 @@ class NoiseProfile:
     def parse(cls, text: str) -> "NoiseProfile":
         """CLI grammar: 'homo:SIGMA' or 'hetero' (optionally 'hetero:SIGMA')."""
         head, _, arg = text.partition(":")
-        if head == "homo":
-            if not arg:
-                raise ContractError("homoscedastic noise needs a sigma: homo:SIGMA")
-            return cls("homoscedastic", float(arg))
-        if head == "hetero":
-            return cls("heteroscedastic", float(arg)) if arg else cls("heteroscedastic")
-        raise ContractError(f"unknown noise profile {text!r}, expected homo:SIGMA or hetero")
+        kind = {"homo": "homoscedastic", "hetero": "heteroscedastic"}.get(head)
+        if kind is None or (head == "homo" and not arg):
+            raise ContractError(f"noise profile {text!r} is not homo:SIGMA or hetero[:SIGMA]")
+        try:
+            sigma = float(arg) if arg else cls.sigma
+        except ValueError:
+            raise ContractError(f"noise sigma {arg!r} in {text!r} is not a number") from None
+        return cls(kind, sigma)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ChannelStats, GridSample, dataset_fingerprint, split, standardize
+from .data import (ChannelStats, GridSample, convert_fields, dataset_fingerprint, parse_fields,
+                   split, standardize)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
 from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
@@ -45,19 +46,45 @@ CONFIG_NAME = "config.txt"
 RUNS_LOG_NAME = "runs.log"
 THREADS_ENV = "GRIDUQ_THREADS"
 
+# (parse, print) of each record field type, keyed by its annotation; floats print by
+# repr, so they re-parse bit-exactly
+_FIELD_TEXT = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "float | None": (lambda v: None if v == "none" else float(v),
+                     lambda v: "none" if v is None else repr(v)),
+    "tuple[int, ...]": (lambda v: tuple(int(s) for s in v.split(",")),
+                        lambda v: ",".join(str(s) for s in v)),
+}
+
+
+def _record_items(record) -> list[str]:
+    """``key=value`` for every field of a record dataclass, in field order."""
+    return [f"{f.name}={_FIELD_TEXT[f.type][1](getattr(record, f.name))}" for f in fields(record)]
+
+
+def _record_from(cls, items: dict[str, str], where):
+    """A record dataclass from parsed key=value items; every field's key is required."""
+    return cls(**convert_fields(items, where,
+                                {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)}))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training's settings. Its defaults are ``train``'s flag defaults, and
+    config.txt lists its fields in this order."""
+
     uq_method: str
-    epochs: int = 200
-    lr: float = 1e-3
-    dropout_rate: float = 0.1
-    batch_size: int = 8
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    alpha: float = 0.1
-    t_passes: int = 30
     base_width: int = 32
     depth: int = 3
+    dropout_rate: float = 0.1
+    epochs: int = 200
+    lr: float = 1e-3
+    batch_size: int = 8
+    alpha: float = 0.1
+    t_passes: int = 30
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         if self.uq_method not in (UQ_MCD, UQ_CQR):
@@ -91,28 +118,11 @@ class RunRecord:
     wall_time_s: float
 
     def to_line(self) -> str:
-        qhat = "none" if self.qhat is None else repr(self.qhat)
-        return (f"seed={self.seed} best_val_loss={self.best_val_loss!r} "
-                f"best_epoch={self.best_epoch} final_train_loss={self.final_train_loss!r} "
-                f"qhat={qhat} checkpoint={self.checkpoint} final_checkpoint={self.final_checkpoint} "
-                f"stats={self.stats} wall_time_s={self.wall_time_s:.3f}")
+        return " ".join(_record_items(self))
 
     @classmethod
-    def from_line(cls, line: str) -> "RunRecord":
-        fields = dict(part.split("=", 1) for part in line.split())
-        try:
-            return cls(
-                seed=int(fields["seed"]),
-                best_val_loss=float(fields["best_val_loss"]),
-                best_epoch=int(fields["best_epoch"]),
-                final_train_loss=float(fields["final_train_loss"]),
-                qhat=None if fields["qhat"] == "none" else float(fields["qhat"]),
-                checkpoint=fields["checkpoint"],
-                final_checkpoint=fields["final_checkpoint"],
-                stats=fields["stats"],
-                wall_time_s=float(fields["wall_time_s"]))
-        except KeyError as err:
-            raise FormatError(f"runs.log line missing key {err}: {line!r}") from err
+    def from_line(cls, line: str, where=RUNS_LOG_NAME) -> "RunRecord":
+        return _record_from(cls, parse_fields(line.split(), where, "item"), where)
 
 
 def resolve_workers(n_tasks: int, deterministic: bool = False) -> int:
@@ -360,23 +370,14 @@ def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
 
 
 def write_run_config(out_dir, config: TrainConfig, samples: list[GridSample]) -> None:
+    """config.txt: the TrainConfig fields with ``in_channels`` second, then the
+    quantile head's levels and the dataset fingerprint."""
     in_channels = samples[0].x.shape[0]
-    lines = [
-        f"uq_method={config.uq_method}",
-        f"in_channels={in_channels}",
-        f"base_width={config.base_width}",
-        f"depth={config.depth}",
-        f"dropout_rate={config.dropout_rate!r}",
-        f"epochs={config.epochs}",
-        f"lr={config.lr!r}",
-        f"batch_size={config.batch_size}",
-        f"alpha={config.alpha!r}",
-        f"t_passes={config.t_passes}",
-        f"seeds={','.join(str(s) for s in config.seeds)}",
-        f"taus={','.join(repr(t) for t in config.model_config(in_channels).taus)}",
-        f"dataset={dataset_fingerprint(samples)}",
-    ]
-    ad.write_atomic(Path(out_dir) / CONFIG_NAME, ("\n".join(lines) + "\n").encode())
+    items = _record_items(config)
+    items.insert(1, f"in_channels={in_channels}")
+    items += [f"taus={','.join(repr(t) for t in config.model_config(in_channels).taus)}",
+              f"dataset={dataset_fingerprint(samples)}"]
+    ad.write_atomic(Path(out_dir) / CONFIG_NAME, ("\n".join(items) + "\n").encode())
 
 
 def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[TrainConfig, int]:
@@ -385,35 +386,19 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
     fp = Path(runs_dir) / CONFIG_NAME
     if not fp.is_file():
         raise FormatError(f"{runs_dir}: missing {CONFIG_NAME}")
-    fields: dict[str, str] = {}
-    for line in fp.read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
-        config = TrainConfig(
-            uq_method=fields["uq_method"],
-            epochs=int(fields["epochs"]),
-            lr=float(fields["lr"]),
-            dropout_rate=float(fields["dropout_rate"]),
-            batch_size=int(fields["batch_size"]),
-            seeds=tuple(int(s) for s in fields["seeds"].split(",")),
-            alpha=float(fields["alpha"]),
-            t_passes=int(fields["t_passes"]),
-            base_width=int(fields["base_width"]),
-            depth=int(fields["depth"]))
-        in_channels = int(fields["in_channels"])
-        taus = tuple(float(t) for t in fields["taus"].split(",")) if "taus" in fields else None
-    except (KeyError, ValueError) as err:
-        raise FormatError(f"{fp}: missing or malformed key: {err}") from err
-    if taus is not None and taus != config.model_config(in_channels).taus:
-        raise FormatError(f"{fp}: taus={fields['taus']} differ from the quantile head's levels "
-                          f"{config.model_config(in_channels).taus}")
+    items = parse_fields(fp.read_text().splitlines(), fp)
+    config = _record_from(TrainConfig, items, fp)
+    in_channels = convert_fields(items, fp, {"in_channels": int})["in_channels"]
+    taus = config.model_config(in_channels).taus
+    if "taus" in items and convert_fields(
+            items, fp, {"taus": lambda v: tuple(float(t) for t in v.split(","))})["taus"] != taus:
+        raise FormatError(f"{fp}: taus={items['taus']} differ from the quantile head's levels "
+                          f"{taus}")
     if samples is not None:
         if samples[0].shape[0] != in_channels:
             raise ContractError(f"dataset has {samples[0].shape[0]} channels "
                                 f"but runs were trained with {in_channels}")
-        if fields.get("dataset") not in (None, dataset_fingerprint(samples)):
+        if items.get("dataset") not in (None, dataset_fingerprint(samples)):
             raise ContractError(f"{runs_dir}: runs were trained on another dataset "
                                 "(its day dates or grid shape differ from this one)")
     return config, in_channels
@@ -423,7 +408,8 @@ def read_runs_log(runs_dir) -> list[RunRecord]:
     fp = Path(runs_dir) / RUNS_LOG_NAME
     if not fp.is_file():
         raise FormatError(f"{runs_dir}: missing {RUNS_LOG_NAME}")
-    return [RunRecord.from_line(line) for line in fp.read_text().splitlines() if line.strip()]
+    return [RunRecord.from_line(line, f"{fp} line {ln}")
+            for ln, line in enumerate(fp.read_text().splitlines(), 1) if line.strip()]
 
 
 def load_run_params(runs_dir, record: RunRecord) -> tuple[UNetParams, ChannelStats]:

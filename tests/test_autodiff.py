@@ -654,6 +654,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             ad.load_checkpoint(path)
 
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "n.guqw"
+        ad.save_checkpoint(path, {"key": ad.Tensor(np.zeros(2, dtype=np.float32))})
+        raw = bytearray(path.read_bytes())
+        raw[12] = 0xFF  # first byte of the name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            ad.load_checkpoint(path)
+
+    def test_huge_shape_is_truncation_not_wraparound(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements is 0 in int64; the payload must still be found missing
+        path = tmp_path / "h.guqw"
+        path.write_bytes(b"GUQW" + struct.pack("<HIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B3I", 3, 2**31, 2**31, 4))
+        with pytest.raises(FormatError, match="truncated"):
+            ad.load_checkpoint(path)
+
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v.guqw"
         buf = io.BytesIO()

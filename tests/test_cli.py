@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from griduq import cli, data, metrics, train
+from griduq.autodiff import load_checkpoint
 from griduq.errors import FormatError
 from griduq.export import read_grid_csv
 
@@ -91,6 +92,14 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["homo:abc", "hetero:abc"])
+    def test_bad_noise_sigma(self, tmp_path, capsys, noise):
+        rc = cli.main(["gen", "--region", "synth", "--days", "5", "--noise", noise,
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: noise sigma 'abc' in '{noise}'")
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_artifacts_exist(self, pipeline):
@@ -118,6 +127,32 @@ class TestTrain:
         assert rc == 1
         assert "t_passes >= 2" in capsys.readouterr().err
         assert not (tmp_path / "r" / "config.txt").exists()
+
+    def test_defaults_are_train_configs(self, tmp_path, monkeypatch):
+        built = []
+
+        def record(config, samples, out, deterministic):
+            built.append((config, deterministic))
+            return [], {}, []
+
+        monkeypatch.setattr(data, "read_dataset", lambda path: ([], None))
+        monkeypatch.setattr(train, "train_all_seeds", record)
+        for uq in (train.UQ_MCD, train.UQ_CQR):
+            assert cli.main(["train", "--data", "d", "--uq", uq, "--out", str(tmp_path)]) == 0
+        assert built == [(train.TrainConfig(uq), False) for uq in (train.UQ_MCD, train.UQ_CQR)]
+
+    def test_every_flag_reaches_the_config(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(data, "read_dataset", lambda path: ([], None))
+        monkeypatch.setattr(train, "train_all_seeds",
+                            lambda config, *args, **kw: built.append(config) or ([], {}, []))
+        assert cli.main(["train", "--data", "d", "--uq", "cqr", "--epochs", "3", "--lr", "0.5",
+                         "--dropout", "0.25", "--batch", "2", "--seeds", "7,8", "--alpha", "0.2",
+                         "--base-width", "5", "--depth", "2", "--t-passes", "6",
+                         "--out", str(tmp_path)]) == 0
+        assert built == [train.TrainConfig(uq_method="cqr", epochs=3, lr=0.5, dropout_rate=0.25,
+                                           batch_size=2, seeds=(7, 8), alpha=0.2, base_width=5,
+                                           depth=2, t_passes=6)]
 
     def test_bad_seed_list_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -207,6 +242,60 @@ class TestExtrapolate:
                        "--days", "99", "--out", str(tmp_path / "maps")])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+
+class TestMalformedRunsDirectory:
+    """A damaged record or checkpoint ends a scoring stage with an ``error:`` line and exit 1;
+    a damaged stored prediction is recomputed."""
+
+    @pytest.fixture()
+    def runs_copy(self, pipeline, tmp_path):
+        data_dir, runs_dir = pipeline
+        assert cli.main(["eval", "--data", str(data_dir), "--runs", str(runs_dir),
+                         "--out", str(tmp_path / "first.txt")]) == 0  # stores seed0_heldout
+        shutil.copytree(runs_dir, tmp_path / "runs")
+        return data_dir, tmp_path / "runs"
+
+    @staticmethod
+    def eval_rc(data_dir, runs_dir, out):
+        return cli.main(["eval", "--data", str(data_dir), "--runs", str(runs_dir),
+                         "--out", str(out)])
+
+    @pytest.mark.parametrize("name, edit", [
+        ("runs.log", lambda text: text.rstrip("\n") + " junk\n"),
+        ("runs.log", lambda text: text.replace("best_epoch=", "best_epoch=x")),
+        ("config.txt", lambda text: text + "garbage\n"),
+        ("config.txt", lambda text: text + "seeds=0\n"),
+        ("config.txt", lambda text: text.replace("alpha=0.1", "alpha=0.1.0"))])
+    def test_malformed_record_is_an_error_line(self, runs_copy, tmp_path, capsys, name, edit):
+        data_dir, runs_dir = runs_copy
+        (runs_dir / name).write_text(edit((runs_dir / name).read_text()))
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_damaged_heldout_file_is_recomputed(self, runs_copy, tmp_path):
+        data_dir, runs_dir = runs_copy
+        held = runs_dir / "seed0_heldout.guqw"
+        stored = held.read_bytes()
+        held.write_bytes(stored[:12] + b"\xff" + stored[13:])  # first byte of the key's name
+        with pytest.raises(FormatError):
+            load_checkpoint(held)
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 0
+        assert (tmp_path / "report.txt").read_bytes() == (tmp_path / "first.txt").read_bytes()
+        assert held.read_bytes() == stored
+
+    def test_damaged_checkpoint_is_an_error_line(self, runs_copy, tmp_path, capsys):
+        data_dir, runs_dir = runs_copy
+        best = runs_dir / "seed0_best.guqw"
+        raw = best.read_bytes()
+        best.write_bytes(raw[:12] + b"\xff" + raw[13:])
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed0_best.guqw" in err, err
 
 
 @pytest.mark.parametrize("stage", SCORING_STAGES)

@@ -140,6 +140,27 @@ class TestDatasetFormat:
         assert mf["n_days"] == "3"
         assert mf["channel_names"].split(",") == ["ch00", "ch01", "ch02"]
 
+    @pytest.mark.parametrize("edit, why", [
+        (lambda text: text + "garbage\n", "line 10 is not key=value: 'garbage'"),
+        (lambda text: text + "=5\n", "line 10 is not key=value: '=5'"),
+        (lambda text: text + "h=5\n", "line 10 repeats key 'h'"),
+        (lambda text: text.replace("h=5", "h=five"), "malformed h='five'"),
+        (lambda text: text.replace("lat0=45.0", "lat0=north"), "malformed lat0='north'"),
+        (lambda text: text.replace("n_days=3\n", ""), "missing key 'n_days'")])
+    def test_malformed_manifest(self, tmp_path, edit, why):
+        self.write_tiny(tmp_path / "ds")
+        mf = tmp_path / "ds" / "manifest.txt"
+        mf.write_text(edit(mf.read_text()))
+        with pytest.raises(FormatError, match=why):
+            open_dataset(tmp_path / "ds")
+
+    def test_manifest_blank_lines_and_unknown_keys(self, tmp_path):
+        samples, spec = self.write_tiny(tmp_path / "ds")
+        mf = tmp_path / "ds" / "manifest.txt"
+        mf.write_text("\n  \n" + mf.read_text() + "source = reanalysis \n")
+        assert read_manifest(tmp_path / "ds")["source"] == "reanalysis"
+        assert open_dataset(tmp_path / "ds")[1] == spec
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FormatError):
@@ -315,6 +336,11 @@ class TestNoiseProfile:
             NoiseProfile.parse("homo")
         with pytest.raises(ContractError):
             NoiseProfile.parse("laplace:1")
+
+    @pytest.mark.parametrize("text", ["homo:abc", "hetero:abc", "homo:", "hetero:1.5x"])
+    def test_parse_rejects_a_bad_sigma(self, text):
+        with pytest.raises(ContractError, match="is not"):
+            NoiseProfile.parse(text)
 
     def test_sigma_grid_step(self):
         grid = NoiseProfile("heteroscedastic", 3.0).sigma_grid(4, 7)

@@ -322,6 +322,117 @@ class TestRunRecord:
         with pytest.raises(FormatError):
             RunRecord.from_line("seed=0 best_epoch=1")
 
+    @pytest.mark.parametrize("edit, why", [
+        (lambda line: line + " junk", "item 10 is not key=value: 'junk'"),
+        (lambda line: line + " =1", "item 10 is not key=value"),
+        (lambda line: line + " seed=4", "item 10 repeats key 'seed'"),
+        (lambda line: line.replace("best_epoch=7", "best_epoch=seven"),
+         "malformed best_epoch='seven'"),
+        (lambda line: line.replace("qhat=2.5", "qhat=wide"), "malformed qhat='wide'")])
+    def test_malformed_line_raises(self, edit, why):
+        line = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
+                         qhat=2.5, checkpoint="a", final_checkpoint="b", stats="c",
+                         wall_time_s=1.0).to_line()
+        with pytest.raises(FormatError, match=why):
+            RunRecord.from_line(edit(line), "runs/runs.log line 2")
+        with pytest.raises(FormatError, match="runs/runs.log line 2"):
+            RunRecord.from_line(edit(line), "runs/runs.log line 2")
+
+    def test_read_runs_log_names_file_and_line(self, tmp_path):
+        rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
+                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        wall_time_s=0.5)
+        (tmp_path / "runs.log").write_text(f"{rec.to_line()}\n\n{rec.to_line()} x\n")
+        with pytest.raises(FormatError, match=r"runs\.log line 3: item 10 is not key=value"):
+            read_runs_log(tmp_path)
+
+    def test_unknown_keys_are_ignored(self):
+        rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
+                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        wall_time_s=0.5)
+        assert RunRecord.from_line("note=retrained " + rec.to_line()) == rec
+
+    def test_wall_time_keeps_every_digit(self):
+        rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
+                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        wall_time_s=2.6305623830012337)
+        assert "wall_time_s=2.6305623830012337" in rec.to_line()
+        assert RunRecord.from_line(rec.to_line()).wall_time_s == rec.wall_time_s
+
+
+# config.txt and runs.log as written before both records were read and written from their
+# dataclass fields; wall_time_s then had three decimals
+EARLIER_CONFIG = """uq_method=cqr
+in_channels=28
+base_width=8
+depth=2
+dropout_rate=0.1
+epochs=2
+lr=0.003
+batch_size=8
+alpha=0.1
+t_passes=30
+seeds=0,1
+taus=0.05,0.5,0.95
+dataset={dataset}
+"""
+EARLIER_RUNS_LOG_LINE = (
+    "seed=0 best_val_loss=3.6874157928285145 best_epoch=2 final_train_loss=4.724577580810224 "
+    "qhat=-0.12483549118041992 checkpoint=seed0_best.guqw final_checkpoint=seed0_final.guqw "
+    "stats=seed0_stats.guqw wall_time_s=1.234")
+EARLIER_VALUES = (TrainConfig(uq_method="cqr", base_width=8, depth=2, dropout_rate=0.1, epochs=2,
+                              lr=0.003, batch_size=8, alpha=0.1, t_passes=30, seeds=(0, 1)),
+                  RunRecord(seed=0, best_val_loss=3.6874157928285145, best_epoch=2,
+                            final_train_loss=4.724577580810224, qhat=-0.12483549118041992,
+                            checkpoint="seed0_best.guqw", final_checkpoint="seed0_final.guqw",
+                            stats="seed0_stats.guqw", wall_time_s=1.234))
+
+
+class TestRunConfigRecord:
+    def test_earlier_records_load(self, tmp_path, tiny_samples):
+        samples, _ = tiny_samples
+        (tmp_path / CONFIG_NAME).write_text(
+            EARLIER_CONFIG.format(dataset=dataset_fingerprint(samples)))
+        (tmp_path / "runs.log").write_text(EARLIER_RUNS_LOG_LINE + "\n")
+        config, record = EARLIER_VALUES
+        assert read_run_config(tmp_path, samples) == (config, 28)
+        assert read_runs_log(tmp_path) == [record]
+
+    def test_written_bytes_match_earlier_files(self, tmp_path, tiny_samples):
+        # held-out prediction keys hash config.txt, so its bytes must not drift
+        samples, _ = tiny_samples
+        write_run_config(tmp_path, EARLIER_VALUES[0], samples)
+        assert (tmp_path / CONFIG_NAME).read_text() == EARLIER_CONFIG.format(
+            dataset=dataset_fingerprint(samples))
+        assert EARLIER_VALUES[1].to_line() == EARLIER_RUNS_LOG_LINE  # the same key order
+
+    def test_key_order_and_unknown_keys_do_not_matter(self, tmp_path):
+        lines = EARLIER_CONFIG.format(dataset="x").splitlines()
+        (tmp_path / CONFIG_NAME).write_text("\n".join(["note=kept", *reversed(lines)]) + "\n")
+        assert read_run_config(tmp_path) == (EARLIER_VALUES[0], 28)
+
+    def test_taus_and_dataset_are_optional(self, tmp_path):
+        lines = [ln for ln in EARLIER_CONFIG.splitlines()
+                 if not ln.startswith(("taus=", "dataset="))]
+        (tmp_path / CONFIG_NAME).write_text("\n".join(lines) + "\n")
+        assert read_run_config(tmp_path) == (EARLIER_VALUES[0], 28)
+
+    @pytest.mark.parametrize("edit, why", [
+        (lambda text: text + "garbage line without equals\n",
+         "line 14 is not key=value: 'garbage line without equals'"),
+        (lambda text: text + "seeds=0\n", "line 14 repeats key 'seeds'"),
+        (lambda text: text.replace("uq_method=cqr", " uq_method = cqr ") + "uq_method=mcd\n",
+         "line 14 repeats key 'uq_method'"),
+        (lambda text: text.replace("epochs=2", "epochs=two"), "malformed epochs='two'"),
+        (lambda text: text.replace("seeds=0,1", "seeds=0,,1"), "malformed seeds='0,,1'"),
+        (lambda text: text.replace("in_channels=28", "in_channels=2.8"),
+         "malformed in_channels='2.8'"),
+        (lambda text: text.replace("lr=0.003\n", ""), "missing key 'lr'")])
+    def test_malformed_config_raises(self, tmp_path, edit, why):
+        (tmp_path / CONFIG_NAME).write_text(edit(EARLIER_CONFIG.format(dataset="x")))
+        with pytest.raises(FormatError, match=why):
+            read_run_config(tmp_path)
+
 
 class TestHelpers:
     def test_aggregate_closed_form(self):
