@@ -27,37 +27,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, FormatError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "backward",
-    "zero_grads",
-    "conv2d",
-    "conv_transpose2d",
-    "maxpool2d",
-    "relu",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "log",
-    "softplus",
-    "scale",
-    "add_scalar",
-    "concat_channels",
-    "slice_channels",
-    "pad2d",
-    "crop2d",
-    "mean_masked",
-    "dropout_masks",
-    "dropout",
-    "AdamState",
-    "adam_step",
-    "save_checkpoint",
-    "load_checkpoint",
-]
-
 
 class Tensor:
     """A dense float32 array plus an optional gradient buffer."""
@@ -567,7 +536,7 @@ class AdamState:
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
 
-def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float = 1e-3,
+def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One Adam update with bias correction; lr is constant, no schedule.
 
@@ -619,6 +588,14 @@ def write_atomic(path, payload: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def read_file(path) -> bytes:
+    """A file's bytes; a missing or unreadable file is a FormatError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read ({err.strerror or err})") from None
+
+
 def save_checkpoint(path, params: Mapping[str, Tensor]) -> None:
     """Write named tensors in insertion order; byte output is deterministic."""
     buf = bytearray()
@@ -642,7 +619,7 @@ def save_checkpoint(path, params: Mapping[str, Tensor]) -> None:
 
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Read a checkpoint back into named Tensors, preserving order."""
-    blob = Path(path).read_bytes()
+    blob = read_file(path)
 
     def take(n: int, what: str) -> bytes:
         nonlocal off

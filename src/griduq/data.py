@@ -40,6 +40,7 @@ REGION_EU = "Europe"
 REGION_SYNTH = "Synthetic"
 
 VALID_CHANNEL_COUNTS = (28, 51)
+TRAIN_FRAC = 0.9  # the share of days that train (and, for CQR, calibrate); the rest validate
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,7 @@ class GridSample:
 # on-disk format
 
 
-def _default_channel_names(c: int) -> list[str]:
-    return [f"ch{i:02d}" for i in range(c)]
-
-
-def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
-                  channel_names: list[str] | None = None) -> None:
+def write_dataset(samples: list[GridSample], spec: RegionSpec, path) -> None:
     """Write a dataset directory; output bytes are a pure function of the inputs.
 
     Mismatched shapes, duplicate dates and a directory that holds day files
@@ -143,10 +139,6 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
     c, h, w = samples[0].x.shape
     if (h, w) != (spec.h, spec.w):
         raise DimensionError(f"samples are {h}x{w} but region {spec.name} is {spec.h}x{spec.w}")
-    if channel_names is None:
-        channel_names = _default_channel_names(c)
-    if len(channel_names) != c:
-        raise ContractError(f"{len(channel_names)} channel names for {c} channels")
     seen = set()
     for s in samples:
         if s.x.shape != (c, h, w):
@@ -171,7 +163,7 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path,
         f"cell_size={spec.cell_size!r}",
         f"channels={c}",
         f"n_days={len(samples)}",
-        f"channel_names={','.join(channel_names)}",
+        f"channel_names={','.join(f'ch{i:02d}' for i in range(c))}",
     ]
     (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
     for s in samples:
@@ -299,7 +291,7 @@ def dataset_fingerprint(samples: list[GridSample]) -> str:
 # splits and standardization
 
 
-def split(samples: list[GridSample], train_frac: float = 0.9, calib: bool = False,
+def split(samples: list[GridSample], train_frac: float = TRAIN_FRAC, calib: bool = False,
           seed: int = 0):
     """Partition whole days with a seed-deterministic shuffle.
 
@@ -407,10 +399,6 @@ class NoiseProfile:
 class GeneratorParams:
     """Everything needed to recompute the noiseless target from a sample's x."""
 
-    seed: int
-    channels: int
-    noise: NoiseProfile
-    station_density: float
     target_channels: tuple[int, int, int]
     target_weights: tuple[float, float, float]
     linear_coef: float
@@ -418,14 +406,6 @@ class GeneratorParams:
     tanh_scale: float
     offsets: np.ndarray  # (C,) per-channel unit offset
     scales: np.ndarray   # (C,) per-channel unit scale
-
-    def clean_target(self, x: np.ndarray) -> np.ndarray:
-        """Noiseless y for one (C, H, W) input, recomputed from scratch."""
-        z = np.zeros(x.shape[1:], dtype=np.float64)
-        for idx, wgt in zip(self.target_channels, self.target_weights):
-            raw = (x[idx].astype(np.float64) - self.offsets[idx]) / self.scales[idx]
-            z += wgt * raw
-        return (self.linear_coef * z + self.tanh_coef * np.tanh(z / self.tanh_scale)).astype(np.float32)
 
 
 def _smooth_field(rng: np.random.Generator, h: int, w: int, n_terms: int = 3):
@@ -509,7 +489,6 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
     if target_channels[-1] >= channels:
         raise ContractError(f"channels={channels} leaves no drifting channels for the target")
     params = GeneratorParams(
-        seed=seed, channels=channels, noise=noise_profile, station_density=station_density,
         target_channels=target_channels, target_weights=(0.8, -0.6, 0.4),
         linear_coef=6.0, tanh_coef=5.0, tanh_scale=2.0,
         offsets=offsets.astype(np.float64), scales=scales.astype(np.float64))
@@ -521,7 +500,7 @@ def generate_synthetic(spec: RegionSpec, n_days: int, channels: int,
     weights = dict(zip(params.target_channels, params.target_weights))
     for c, (field, drift) in enumerate(zip(fields, drifts)):
         raw = field if c < 2 else _field_days(*field, drift, n_days)
-        x[:, c] = offsets[c] + scales[c] * raw
+        x[:, c] = params.offsets[c] + params.scales[c] * raw
         if c in weights:
             z += weights[c] * raw
         del raw

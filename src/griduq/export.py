@@ -3,7 +3,8 @@
 Heatmaps use a diverging blue-white-red ramp with grid row 0 as the top
 (northmost) image row; non-finite cells render neutral gray. CSV floats
 are printed with 9 significant digits, enough for binary32 values to
-re-parse bit-exactly.
+re-parse bit-exactly. Every file is written to a temp file and renamed
+into place, so a failed write keeps the old file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import write_atomic
 from .data import RegionSpec
 from .errors import ContractError, FormatError
 from .metrics import MetricsReport, SeriesRow, StationScore
@@ -56,9 +58,7 @@ def write_heatmap(grid: np.ndarray, path) -> None:
     rgb = _ramp(t)
     rgb[~finite] = GRAY
     h, w = grid.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes())
 
 
 def _fmt(v: float) -> str:
@@ -75,7 +75,7 @@ def write_grid_csv(grid: np.ndarray, spec: RegionSpec, path) -> None:
     lines = ["row,col,lat,lon,value"] + [f"{r},{c},{lats[r]},{lons[c]},{_fmt(v)}"
                                          for r, row in enumerate(grid.tolist())
                                          for c, v in enumerate(row)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -104,14 +104,14 @@ def write_ranks_csv(rows: Sequence[StationScore], path) -> None:
     for i, s in enumerate(rows, 1):
         lines.append(f"{i},{s.row},{s.col},{_fmt(s.lat)},{_fmt(s.lon)},"
                      f"{_fmt(s.uq_score)},{_fmt(s.rmse)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_series_csv(rows: Sequence[SeriesRow], path) -> None:
     lines = ["date,y,mid,lo,hi"]
     for s in rows:
         lines.append(f"{s.date.isoformat()},{_fmt(s.y)},{_fmt(s.mid)},{_fmt(s.lo)},{_fmt(s.hi)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_report(report: MetricsReport, path) -> None:
@@ -134,4 +134,4 @@ def write_report(report: MetricsReport, path) -> None:
         if k in ("region", "uq_method"):
             continue
         lines.append(f'{k},"{v}"' if "," in v else f"{k},{v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -21,11 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, load_checkpoint, save_checkpoint
-from .data import GridSample, RegionSpec, split, standardize
+from .autodiff import Tensor, load_checkpoint, read_file, save_checkpoint
+from .data import GridSample, RegionSpec, standardize
 from .errors import ContractError, FormatError
-from .train import (CONFIG_NAME, TRAIN_FRAC, RunRecord, TrainConfig, UQ_CQR, UQ_MCD,
-                    _population_stats, load_run_params, read_run_config, read_runs_log)
+from .train import (CONFIG_NAME, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, _population_stats,
+                    load_run_params, read_run_config, read_runs_log)
 from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
@@ -171,7 +171,7 @@ class HeldOut:
 def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample]) -> np.ndarray:
     """SHA-256 of every input of a seed's held-out predictions, one byte per float."""
     parts = [f"{HELDOUT_VERSION}|{record.seed}".encode()]
-    parts += [(Path(runs_dir) / name).read_bytes()
+    parts += [read_file(Path(runs_dir) / name)
               for name in (CONFIG_NAME, record.checkpoint, record.stats)]
     for s in days:
         parts += [s.date.isoformat().encode(), np.ascontiguousarray(s.x, dtype="<f4")]
@@ -196,14 +196,13 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     """
     if config.uq_method == UQ_CQR and record.qhat is None:
         raise ContractError(f"seed {record.seed}: CQR record has no qhat")
-    days = sorted(split(samples, TRAIN_FRAC, calib=config.uq_method == UQ_CQR,
-                        seed=record.seed)[-1], key=lambda s: s.date)
+    days = sorted(config.split_days(samples, record.seed)[-1], key=lambda s: s.date)
     names = HELDOUT_GRIDS[config.uq_method]
     path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
     key = _heldout_key(runs_dir, record, days)
     try:
         stored = load_checkpoint(path)
-    except (OSError, FormatError):
+    except FormatError:
         stored = {}
     shape = (len(days), *days[0].y.shape)
     if (list(stored) == ["key", *names] and np.array_equal(stored["key"].data, key)
@@ -223,7 +222,7 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
         except OSError as err:
             warnings.warn(f"held-out predictions not stored: {err}", RuntimeWarning, stacklevel=2)
     if config.uq_method == UQ_MCD:
-        preds = [McdPrediction(**{n: grids[n][i] for n in names}, passes=config.t_passes)
+        preds = [McdPrediction(**{n: grids[n][i] for n in names})
                  for i in range(len(days))]
         return HeldOut(days=days, preds=preds, raw=preds)
     raw = [CqrPrediction(**{n: grids[n][i] for n in names}, qhat=0.0, alpha=config.alpha)

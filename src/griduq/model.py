@@ -35,9 +35,9 @@ SIGMA2_FLOOR = 1e-6
 @dataclass(frozen=True)
 class ModelConfig:
     in_channels: int
-    base_width: int = 32
-    depth: int = 3
-    dropout_rate: float = 0.1
+    base_width: int
+    depth: int
+    dropout_rate: float
     head: str = HEAD_GAUSSIAN
     taus: tuple[float, ...] = DEFAULT_TAUS
 
@@ -192,27 +192,6 @@ def gaussian_moments(head_out: Tensor) -> tuple[Tensor, Tensor]:
     return mu, sigma2
 
 
-def _single_input(params: UNetParams, x: np.ndarray) -> Tensor:
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3:
-        raise DimensionError(f"predict: input must be (C, H, W), got shape {x.shape}")
-    if x.shape[0] != params.config.in_channels:
-        raise DimensionError(
-            f"predict: channel axis C={x.shape[0]} does not match config in_channels="
-            f"{params.config.in_channels}")
-    return Tensor(x[None])
-
-
-def predict_gaussian(params: UNetParams, x: np.ndarray, dropout_active: bool = False,
-                     rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-head prediction for one (C, H, W) input: (mu, sigma^2) grids."""
-    if params.config.head != HEAD_GAUSSIAN:
-        raise ContractError(f"predict_gaussian: model head is '{params.config.head}'")
-    out = forward(params, _single_input(params, x), dropout_active, rng)
-    mu, sigma2 = gaussian_moments(out)
-    return mu.data[0, 0], sigma2.data[0, 0]
-
-
 def predict_quantiles(params: UNetParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Quantile-head prediction for one (C, H, W) input, one grid per level.
 
@@ -222,5 +201,12 @@ def predict_quantiles(params: UNetParams, x: np.ndarray) -> tuple[np.ndarray, ..
     """
     if params.config.head != HEAD_QUANTILE:
         raise ContractError(f"predict_quantiles: model head is '{params.config.head}'")
-    out = forward(params, _single_input(params, x), dropout_active=False)
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim != 3:
+        raise DimensionError(f"predict_quantiles: input must be (C, H, W), got shape {x.shape}")
+    if x.shape[0] != params.config.in_channels:
+        raise DimensionError(
+            f"predict_quantiles: channel axis C={x.shape[0]} does not match config in_channels="
+            f"{params.config.in_channels}")
+    out = forward(params, Tensor(x[None]), dropout_active=False)
     return tuple(out.data[0, i] for i in range(params.config.out_channels))

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import (ChannelStats, GridSample, convert_fields, dataset_fingerprint, parse_fields,
-                   split, standardize)
+from .data import (TRAIN_FRAC, ChannelStats, GridSample, convert_fields, dataset_fingerprint,
+                   parse_fields, split, standardize)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
 from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
@@ -40,7 +40,6 @@ from .uq import cqr_calibrate
 UQ_MCD = "mcd"
 UQ_CQR = "cqr"
 
-TRAIN_FRAC = 0.9
 GRAD_CLIP_NORM = 5.0
 CONFIG_NAME = "config.txt"
 RUNS_LOG_NAME = "runs.log"
@@ -103,6 +102,15 @@ class TrainConfig:
         head = HEAD_GAUSSIAN if self.uq_method == UQ_MCD else HEAD_QUANTILE
         return ModelConfig(in_channels=in_channels, base_width=self.base_width,
                            depth=self.depth, dropout_rate=self.dropout_rate, head=head)
+
+    def split_days(self, samples: list[GridSample], seed: int):
+        """One seed's (train, calib, val) days. Both methods validate on the days past
+        the TRAIN_FRAC share; CQR halves that share into train and calibration, MCD
+        trains on all of it and has no calibration days (None)."""
+        if self.uq_method == UQ_CQR:
+            return split(samples, TRAIN_FRAC, calib=True, seed=seed)
+        train, val = split(samples, TRAIN_FRAC, calib=False, seed=seed)
+        return train, None, val
 
 
 @dataclass
@@ -200,8 +208,7 @@ class FitResult:
 
 
 def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[GridSample],
-        *, epochs: int, lr: float, batch_size: int, seed: int,
-        grad_clip: float = GRAD_CLIP_NORM) -> FitResult:
+        *, epochs: int, lr: float, batch_size: int, seed: int) -> FitResult:
     """Adam training loop with best-validation snapshotting.
 
     Aborts with the (epoch, batch) position if a loss goes non-finite.
@@ -238,7 +245,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
                 raise TrainingError(f"non-finite training loss at epoch {epoch}, batch {bi}")
             ad.zero_grads(params.tensors)
             ad.backward(tape, loss)
-            clip_grad_norm(params.tensors, grad_clip)
+            clip_grad_norm(params.tensors, GRAD_CLIP_NORM)
             ad.adam_step(params.tensors, state, lr=lr)
             n = int(maskb.sum())
             epoch_total += value * n
@@ -259,19 +266,15 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
               out_dir) -> RunRecord:
     """Train a single seed end to end and write its artifacts into out_dir.
 
-    MCD runs split 90/10; CQR runs halve the 90% into train/calibration
-    and compute the global qhat from the best-validation weights.
+    Days are split by ``config.split_days``; CQR runs compute the global
+    qhat on their calibration days from the best-validation weights.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     in_channels = samples[0].x.shape[0]
     model_config = config.model_config(in_channels)
 
-    if config.uq_method == UQ_CQR:
-        train_set, calib_set, val_set = split(samples, TRAIN_FRAC, calib=True, seed=seed)
-    else:
-        train_set, val_set = split(samples, TRAIN_FRAC, calib=False, seed=seed)
-        calib_set = None
+    train_set, calib_set, val_set = config.split_days(samples, seed)
     stats = ChannelStats.from_samples(train_set)
     train_set = standardize(train_set, stats)
     val_set = standardize(val_set, stats)
@@ -292,7 +295,7 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
     ad.save_checkpoint(out / stats_name, {"mean": Tensor(stats.mean), "std": Tensor(stats.std)})
 
     qhat = None
-    if config.uq_method == UQ_CQR:
+    if calib_set is not None:
         qhat = cqr_calibrate(best_params, standardize(calib_set, stats), config.alpha,
                              config.batch_size)
 

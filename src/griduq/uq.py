@@ -28,9 +28,6 @@ from .errors import CalibrationError, ContractError
 from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, forward, gaussian_moments,
                     predict_quantiles)
 
-DEFAULT_ALPHA = 0.1
-DEFAULT_PASSES = 30
-
 
 @dataclass(frozen=True)
 class McdPrediction:
@@ -39,7 +36,6 @@ class McdPrediction:
     mean: np.ndarray
     epistemic: np.ndarray
     aleatoric: np.ndarray
-    passes: int
 
     @property
     def total_variance(self) -> np.ndarray:
@@ -88,7 +84,7 @@ def aggregate_mc_passes(mus: Sequence[np.ndarray],
             aleatoric.astype(np.float32))
 
 
-def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int = DEFAULT_PASSES,
+def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int,
                        rng: np.random.Generator | None = None) -> McdPrediction:
     """T stochastic passes for one (C, H, W) input; reproducible given rng state.
 
@@ -110,7 +106,7 @@ def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int = DEFAUL
     mus = np.broadcast_to(mu.data[:, 0], stack)
     sigma2s = np.broadcast_to(sigma2.data[:, 0], stack)
     mean, epistemic, aleatoric = aggregate_mc_passes(mus, sigma2s)
-    return McdPrediction(mean=mean, epistemic=epistemic, aleatoric=aleatoric, passes=t_passes)
+    return McdPrediction(mean=mean, epistemic=epistemic, aleatoric=aleatoric)
 
 
 def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
@@ -129,7 +125,7 @@ def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
 
 
 def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
-                      batch_size: int = 8) -> np.ndarray:
+                      batch_size: int) -> np.ndarray:
     """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every day.
 
     Days are forwarded batch_size at a time, dropout off, in sample order.
@@ -152,13 +148,13 @@ def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
 
 
 def cqr_calibrate(params: UNetParams, calib_set: Sequence[GridSample],
-                  alpha: float = DEFAULT_ALPHA, batch_size: int = 8) -> float:
+                  alpha: float, batch_size: int) -> float:
     """One global qhat from the pooled calibration scores."""
     return conformal_quantile(conformity_scores(params, calib_set, batch_size), alpha)
 
 
 def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float,
-                alpha: float = DEFAULT_ALPHA) -> CqrPrediction:
+                alpha: float) -> CqrPrediction:
     """Symmetrically widened quantile band; the median passes through untouched."""
     if not math.isfinite(qhat):
         raise ContractError(f"cqr_predict: qhat must be finite, got {qhat}")

@@ -1,7 +1,9 @@
 """Slow reference implementations used only by the test suite.
 
-Everything here is written as plain nested loops in float64 so that the
-vectorized float32 kernels have an independent ground truth to match.
+The kernel oracles are written as plain nested loops in float64 so that
+the vectorized float32 kernels have an independent ground truth to match.
+The rest recompute, one day or one pass at a time, what the package
+computes in bulk.
 """
 
 import datetime
@@ -9,7 +11,9 @@ import math
 
 import numpy as np
 
+from griduq.autodiff import Tensor
 from griduq.data import GeneratorParams, GridSample
+from griduq.model import HEAD_GAUSSIAN, forward, gaussian_moments
 
 
 def conv2d_loops(x, w, b, stride=1, padding=0):
@@ -216,7 +220,6 @@ def generate_synthetic_per_day(spec, n_days, channels, noise_profile, station_de
     scales = np.exp(rng.uniform(math.log(0.5), math.log(50.0), channels))
     offsets = rng.uniform(-2.0, 2.0, channels) * scales
     params = GeneratorParams(
-        seed=seed, channels=channels, noise=noise_profile, station_density=station_density,
         target_channels=(n_static, n_static + 1, n_static + 2), target_weights=(0.8, -0.6, 0.4),
         linear_coef=6.0, tanh_coef=5.0, tanh_scale=2.0,
         offsets=offsets.astype(np.float64), scales=scales.astype(np.float64))
@@ -242,3 +245,22 @@ def generate_synthetic_per_day(spec, n_days, channels, noise_profile, station_de
         date = datetime.date(2005 + day // 30, 6, 1 + day % 30)
         samples.append(GridSample(date=date, x=x, y=y, mask=mask.copy()))
     return samples, params
+
+
+def clean_target(params, x):
+    """Noiseless y for one (C, H, W) input, recomputed from ``GeneratorParams``."""
+    z = np.zeros(x.shape[1:], dtype=np.float64)
+    for idx, wgt in zip(params.target_channels, params.target_weights):
+        raw = (x[idx].astype(np.float64) - params.offsets[idx]) / params.scales[idx]
+        z += wgt * raw
+    return (params.linear_coef * z
+            + params.tanh_coef * np.tanh(z / params.tanh_scale)).astype(np.float32)
+
+
+def predict_gaussian(params, x, dropout_active=False, rng=None):
+    """(mu, sigma^2) grids of a Gaussian-head model for one (C, H, W) input: one pass
+    at batch 1, the reference that batched MC-dropout passes must equal bitwise."""
+    x = np.asarray(x, dtype=np.float32)
+    assert params.config.head == HEAD_GAUSSIAN and x.shape[0] == params.config.in_channels
+    mu, sigma2 = gaussian_moments(forward(params, Tensor(x[None]), dropout_active, rng))
+    return mu.data[0, 0], sigma2.data[0, 0]

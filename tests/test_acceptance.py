@@ -21,10 +21,11 @@ from scipy.stats import spearmanr
 from griduq import autodiff as ad
 from griduq import cli, data, losses, metrics, train, uq
 from griduq.model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig,
-                          UNetParams, build, forward, predict_gaussian,
+                          UNetParams, build, forward,
                           predict_quantiles)
 
 from _gradcheck import gradcheck, lattice_values
+from _oracles import predict_gaussian
 
 SPARSE_SEED = 4  # chosen for a station mask balanced across the noise step
 DENSE_SEED = 0
@@ -128,7 +129,7 @@ def test_criterion_01_conformal_coverage(sparse_world, sparse_cqr, tmp_path):
     _, calib_set, val_set = data.split(samples, calib=True, seed=rec.seed)
     pool_raw = calib_set + val_set
     pool_std = data.standardize(pool_raw, stats)
-    day_scores = [uq.conformity_scores(params, [s]) for s in pool_std]
+    day_scores = [uq.conformity_scores(params, [s], 8) for s in pool_std]
     day_bounds = []
     for s in pool_std:
         lo, _, hi = predict_quantiles(params, s.x)

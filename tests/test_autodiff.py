@@ -552,18 +552,18 @@ class TestAdam:
         p = ad.Tensor(np.full(3, 1.5), requires_grad=True)
         p.grad = np.zeros(3, dtype=np.float32)
         state = ad.AdamState({"p": p})
-        ad.adam_step({"p": p}, state)
+        ad.adam_step({"p": p}, state, lr=1e-3)
         assert np.array_equal(p.data, np.full(3, 1.5, dtype=np.float32))
 
     def test_none_grad_decays_moments(self):
         p = ad.Tensor(np.array([0.0]), requires_grad=True)
         state = ad.AdamState({"p": p})
         p.grad = np.array([4.0], dtype=np.float32)
-        ad.adam_step({"p": p}, state)
+        ad.adam_step({"p": p}, state, lr=1e-3)
         m_after_first = state.m["p"].copy()
         p.grad = None
         before = p.data.copy()
-        ad.adam_step({"p": p}, state)
+        ad.adam_step({"p": p}, state, lr=1e-3)
         assert np.allclose(state.m["p"], 0.9 * m_after_first)
         assert not np.array_equal(p.data, before)  # nonzero moments keep moving the param
 
@@ -581,7 +581,7 @@ class TestAdam:
         q = ad.Tensor(np.zeros(2), requires_grad=True)
         q.grad = np.ones(2, dtype=np.float32)
         with pytest.raises(ContractError):
-            ad.adam_step({"q": q}, state)
+            ad.adam_step({"q": q}, state, lr=1e-3)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -633,6 +633,10 @@ class TestCheckpoint:
         assert (version, count) == (1, 1)
         name_len = struct.unpack("<H", raw[10:12])[0]
         assert raw[12:12 + name_len] == b"w"
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(FormatError, match="gone.guqw: cannot read"):
+            ad.load_checkpoint(tmp_path / "gone.guqw")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.guqw"

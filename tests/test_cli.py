@@ -297,6 +297,20 @@ class TestMalformedRunsDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed0_best.guqw" in err, err
 
+    @pytest.mark.parametrize("stage, deleted", [
+        ("eval", ("seed0_best.guqw",)),
+        ("rank", ("seed0_stats.guqw", "seed0_heldout.guqw"))])
+    def test_missing_run_file_is_an_error_line(self, runs_copy, tmp_path, capsys, stage,
+                                               deleted):
+        data_dir, runs_dir = runs_copy
+        for name in deleted:
+            (runs_dir / name).unlink()
+        capsys.readouterr()
+        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and deleted[0] in err and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("stage", SCORING_STAGES)
 def test_out_into_missing_directory(pipeline, tmp_path, stage):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import generate_synthetic_per_day
+from _oracles import clean_target, generate_synthetic_per_day
 from griduq import data
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
                          RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
@@ -408,7 +408,7 @@ class TestSynthetic:
         # behaves like the injected N(0, sigma^2) noise
         samples, params = tiny_samples
         res = np.concatenate([
-            (s.y - params.clean_target(s.x))[s.mask] for s in samples])
+            (s.y - clean_target(params, s.x))[s.mask] for s in samples])
         assert res.size > 300
         sd = res.std()
         assert 1.7 < sd < 2.3  # sigma was 2.0
@@ -420,7 +420,7 @@ class TestSynthetic:
         left, right = [], []
         half = tiny_region.w // 2
         for s in samples:
-            res = s.y - params.clean_target(s.x)
+            res = s.y - clean_target(params, s.x)
             left.append(res[:, :half][s.mask[:, :half]])
             right.append(res[:, half:][s.mask[:, half:]])
         ratio = np.concatenate(right).std() / np.concatenate(left).std()

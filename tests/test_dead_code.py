@@ -1,10 +1,16 @@
-"""Every module-level function and class of the package is used by the package itself.
+"""Every definition of the package is used by the package itself.
 
-A name counts as used when another part of ``src/griduq`` (``__init__.py``
-aside) refers to it: as a bare name in its own module, through
-``from .module import name``, or as ``alias.name`` where ``alias`` is bound
-to that griduq module. Attribute access on any other object does not count,
-so ``np.exp`` does not keep an ``exp`` alive.
+Module level: a function or class counts as used when another part of
+``src/griduq`` (``__init__.py`` aside) refers to it: as a bare name in its
+own module, through ``from .module import name``, or as ``alias.name`` where
+``alias`` is bound to that griduq module. Attribute access on any other
+object does not count, so ``np.exp`` does not keep an ``exp`` alive.
+
+Class members: a method, property or dataclass field counts as read when
+some code of the package reads an attribute of that name, on any object, or
+names it in ``getattr``. Dunder methods are Python's to call. The record
+classes in ``RECORDS`` are read field by field through ``dataclasses.fields``,
+so all of their fields count as read.
 """
 
 import ast
@@ -14,13 +20,15 @@ import griduq
 
 PACKAGE = Path(griduq.__file__).parent
 
-# names kept for the tests alone, each for a reason
+# names kept outside the package's own use, each for a reason
 ALLOWED = {
-    # the one-pass reference that test_batch_equals_loop_of_single_passes compares against
-    ("model", "predict_gaussian"),
-    # the CSV round-trip oracle for write_grid_csv
+    # the benchmark's reader of every extrapolate map (perfbench/harness.py check_outputs)
     ("export", "read_grid_csv"),
 }
+
+# record classes that the package reads through dataclasses.fields: config.txt and
+# train's flags (TrainConfig), runs.log lines (RunRecord), the eval report (MetricsReport)
+RECORDS = {("train", "TrainConfig"), ("train", "RunRecord"), ("metrics", "MetricsReport")}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -60,8 +68,54 @@ def unused_names() -> list[str]:
             if (mod, name) not in refs and (mod, name) not in ALLOWED]
 
 
+def _classes(tree: ast.Module) -> list[ast.ClassDef]:
+    return [node for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def _members(cls: ast.ClassDef) -> list[str]:
+    """Methods, properties and fields that a class body defines, dunders aside."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _attributes_read(modules) -> set[str]:
+    """Attribute names the package reads: ``obj.name`` outside an assignment's
+    target, ``obj.name += ...``, and ``getattr(obj, "name")``."""
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def unread_members() -> list[str]:
+    modules = _modules()
+    read = _attributes_read(modules)
+    return [f"{mod}.{cls.name}.{name}" for mod, tree in modules.items()
+            for cls in _classes(tree) if (mod, cls.name) not in RECORDS
+            for name in _members(cls) if name not in read]
+
+
 def test_every_definition_is_used_by_the_package():
     assert unused_names() == []
+
+
+def test_every_member_is_read_by_the_package():
+    assert unread_members() == []
 
 
 def test_allowed_names_exist_and_are_otherwise_unused():
@@ -70,3 +124,11 @@ def test_allowed_names_exist_and_are_otherwise_unused():
     for mod, name in ALLOWED:
         assert name in _definitions(modules[mod]), f"{mod}.{name}"
         assert (mod, name) not in refs, f"{mod}.{name} is used; drop it from ALLOWED"
+
+
+def test_records_are_dataclasses():
+    modules = _modules()
+    for mod, name in RECORDS:
+        [cls] = [c for c in _classes(modules[mod]) if c.name == name]
+        decorators = [ast.unparse(d) for d in cls.decorator_list]
+        assert any(d.startswith("dataclass") for d in decorators), f"{mod}.{name}"

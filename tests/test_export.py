@@ -3,6 +3,7 @@ import datetime
 import numpy as np
 import pytest
 
+from griduq import autodiff
 from griduq.data import RegionSpec
 from griduq.errors import ContractError, FormatError
 from griduq.export import (BLUE, GRAY, RED, read_grid_csv, write_grid_csv,
@@ -164,3 +165,27 @@ class TestReport:
         text = fp.read_text()
         assert "epistemic_max=4" in text
         assert "interval_max" not in text
+
+
+@pytest.mark.parametrize("write", [
+    lambda v, fp: write_heatmap(np.array([[v, 5.0], [0.0, 0.0]]), fp),
+    lambda v, fp: write_grid_csv(np.full((2, 2), v), RegionSpec("Synthetic", 2, 2, 45.0, -110.0),
+                                 fp),
+    lambda v, fp: write_ranks_csv([StationScore(0, 0, 44.95, -109.95, v, 0.5)], fp),
+    lambda v, fp: write_series_csv([SeriesRow(datetime.date(2005, 6, 3), v, 40.0, 35.0, 45.0)],
+                                   fp),
+    lambda v, fp: write_report(TestReport().make_report(rmse_mean=v), fp),
+], ids=["heatmap", "grid_csv", "ranks_csv", "series_csv", "report"])
+def test_failed_write_keeps_old_file_and_leaves_no_temp(write, tmp_path, monkeypatch):
+    fp = tmp_path / "out"
+    write(1.0, fp)
+    old = fp.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(autodiff.os, "replace", crash)
+    with pytest.raises(OSError, match="disk full"):
+        write(2.0, fp)
+    assert fp.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

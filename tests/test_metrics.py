@@ -33,7 +33,7 @@ def cqr_pred(lo, mid, hi, qhat=0.0):
 def mcd_pred(mean, epi, alea):
     return McdPrediction(mean=np.asarray(mean, np.float32),
                          epistemic=np.asarray(epi, np.float32),
-                         aleatoric=np.asarray(alea, np.float32), passes=2)
+                         aleatoric=np.asarray(alea, np.float32))
 
 
 def masked_rmse(pred, y, mask):
@@ -166,7 +166,7 @@ class TestCrossingRate:
         samples, _ = tiny_samples
         params = build(ModelConfig(in_channels=28, base_width=4, depth=1,
                                    dropout_rate=0.0, head=HEAD_QUANTILE), seed=3)
-        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0) for s in samples[:4]],
+        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0, 0.1) for s in samples[:4]],
                                      samples[:4])
         crossed = total = 0
         for s in samples[:4]:
@@ -299,7 +299,7 @@ class TestEvaluateRuns:
             params, stats = load_run_params(runs_dir, rec)
             val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)[-1]
             for rates, qhat in ((raw, 0.0), (widened, rec.qhat)):
-                bands = [cqr_predict(params, z.x, qhat) for z in standardize(val, stats)]
+                bands = [cqr_predict(params, z.x, qhat, 0.1) for z in standardize(val, stats)]
                 rates.append(np.mean(np.concatenate([(b.lo > b.hi)[s.mask]
                                                      for b, s in zip(bands, val)])))
         report = evaluate_runs(samples, tiny_region, runs_dir)

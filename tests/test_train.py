@@ -54,6 +54,13 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             tiny_config(**kw)
 
+    def test_split_days(self, tiny_samples):
+        samples, _ = tiny_samples
+        assert tiny_config("cqr").split_days(samples, 3) == tuple(
+            split(samples, TRAIN_FRAC, calib=True, seed=3))
+        train_set, val_set = split(samples, TRAIN_FRAC, calib=False, seed=3)
+        assert tiny_config("mcd").split_days(samples, 3) == (train_set, None, val_set)
+
 
 class TestClipGradNorm:
     def test_scales_above_threshold(self):

@@ -55,7 +55,6 @@ class TestMcDropoutPredict:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.epistemic, b.epistemic)
         assert np.array_equal(a.aleatoric, b.aleatoric)
-        assert a.passes == 5
 
     def test_zero_dropout_rate_kills_epistemic(self, rng):
         params = gaussian_model(dropout=0.0)
@@ -96,7 +95,7 @@ class TestMcDropoutPredict:
         (4, 2, (9, 11), 7, 0.0),   # rate 0: no generator at all
     ])
     def test_batch_equals_loop_of_single_passes(self, width, depth, hw, t_passes, rate, rng):
-        from griduq.model import predict_gaussian
+        from _oracles import predict_gaussian
         params = build(ModelConfig(in_channels=4, base_width=width, depth=depth,
                                    dropout_rate=rate), seed=0)
         x = rng.normal(size=(4, *hw)).astype(np.float32)
@@ -114,7 +113,7 @@ class TestMcDropoutPredict:
 
     def test_mc_mean_beats_single_pass_on_average(self, rng):
         # variance reduction: averaging T stochastic passes cannot hurt RMSE
-        from griduq.model import predict_gaussian
+        from _oracles import predict_gaussian
         params = gaussian_model(dropout=0.4)
         x = rng.normal(size=(4, 8, 8)).astype(np.float32)
         y = rng.normal(size=(8, 8)).astype(np.float32)
@@ -180,7 +179,7 @@ class TestCqr:
         from griduq.model import predict_quantiles
         params, samples = tiny_world
         subset = samples[:3]
-        scores = conformity_scores(params, subset)
+        scores = conformity_scores(params, subset, 8)
         manual = []
         for s in subset:
             lo, _, hi = predict_quantiles(params, s.x)
@@ -196,9 +195,9 @@ class TestCqr:
         samples, _ = generate_synthetic(spec, 11, 28, NoiseProfile("homoscedastic", 2.0),
                                         0.5, seed=4)
         params = build(ModelConfig(in_channels=28, base_width=4, depth=2,
-                                   head=HEAD_QUANTILE), seed=3)
+                                   dropout_rate=0.1, head=HEAD_QUANTILE), seed=3)
         scores = conformity_scores(params, samples, batch_size)
-        per_day = np.concatenate([conformity_scores(params, [s]) for s in samples])
+        per_day = np.concatenate([conformity_scores(params, [s], 8) for s in samples])
         assert scores.dtype == np.float64
         assert np.array_equal(scores, per_day)
         qhat = cqr_calibrate(params, samples, alpha=0.1, batch_size=batch_size)
@@ -223,19 +222,19 @@ class TestCqr:
     def test_negative_qhat_narrows(self, tiny_world):
         # very easy data can produce a negative correction; bands must shrink
         params, samples = tiny_world
-        wide = cqr_predict(params, samples[0].x, qhat=0.0)
-        narrow = cqr_predict(params, samples[0].x, qhat=-0.5)
+        wide = cqr_predict(params, samples[0].x, qhat=0.0, alpha=0.1)
+        narrow = cqr_predict(params, samples[0].x, qhat=-0.5, alpha=0.1)
         assert np.all(narrow.interval_length < wide.interval_length)
 
     def test_qhat_must_be_finite(self, tiny_world):
         params, samples = tiny_world
         with pytest.raises(ContractError):
-            cqr_predict(params, samples[0].x, qhat=float("nan"))
+            cqr_predict(params, samples[0].x, qhat=float("nan"), alpha=0.1)
 
     def test_head_guard(self, tiny_world):
         _, samples = tiny_world
         with pytest.raises(ContractError):
-            conformity_scores(gaussian_model(), samples[:2])
+            conformity_scores(gaussian_model(), samples[:2], 8)
 
     def test_coverage_guarantee_without_training(self, tiny_world):
         # split-conformal marginal coverage holds no matter how bad the model:
@@ -246,8 +245,8 @@ class TestCqr:
             order = np.random.default_rng(trial).permutation(len(samples))
             calib = [samples[i] for i in order[:40]]
             test = [samples[i] for i in order[40:]]
-            qhat = cqr_calibrate(params, calib, alpha=0.1)
-            preds = [cqr_predict(params, s.x, qhat) for s in test]
+            qhat = cqr_calibrate(params, calib, alpha=0.1, batch_size=8)
+            preds = [cqr_predict(params, s.x, qhat, 0.1) for s in test]
             coverages.append(empirical_coverage(preds, test))
         avg = float(np.mean(coverages))
         assert 0.88 <= avg <= 0.93, f"mean coverage {avg} outside conformal band"
