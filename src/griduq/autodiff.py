@@ -270,16 +270,15 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _shift_conv(x, weight, bias, 0, stride, 0, big_hw, (h, w))
 
 
-def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
-    """k*k max pooling with stride k.
+def maxpool2d(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2.
 
     Ties route the gradient to the first maximum in row-major window
     order, and a NaN counts as a maximum.
     """
     _require_rank("maxpool2d", x, 4)
     n, c, h, w = x.shape
-    if k < 1:
-        raise ContractError(f"maxpool2d: k must be >= 1, got {k}")
+    k = 2
     if h % k or w % k:
         raise DimensionError(f"maxpool2d: spatial axes H={h}, W={w} not divisible by k={k}")
     ho, wo = h // k, w // k
@@ -536,13 +535,13 @@ class AdamState:
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
 
-def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; lr is constant, no schedule.
 
     Tensors with grad=None are treated as zero-gradient: their moments
     decay and (from fresh state) the parameters stay unchanged.
     """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of the Adam paper
     state.step += 1
     t = state.step
     bc1 = np.float32(1.0 - beta1 ** t)

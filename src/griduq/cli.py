@@ -97,8 +97,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples, _ = data.read_dataset(args.data)
     config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(train.TrainConfig)})
+    samples, _ = data.read_dataset(args.data)
     records, aggregate, failures = train.train_all_seeds(
         config, samples, args.out, deterministic=args.deterministic)
     for rec in records:

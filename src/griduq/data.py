@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import read_file
 from .errors import ContractError, DimensionError, FormatError
 
 DATASET_MAGIC = b"GUQD"
@@ -207,15 +208,24 @@ def convert_fields(fields: dict[str, str], where, converters: dict) -> dict:
     return out
 
 
+def read_lines(directory, name: str) -> list[str]:
+    """The lines of a directory's text record file: manifest.txt, config.txt or runs.log.
+    A missing or unreadable file, or bytes that are not UTF-8, are a FormatError."""
+    fp = Path(directory) / name
+    if not fp.is_file():
+        raise FormatError(f"{directory}: missing {name}")
+    try:
+        return read_file(fp).decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"{fp}: byte {err.start} is not UTF-8 text") from None
+
+
 def read_manifest(path) -> dict[str, str]:
-    mf = Path(path) / MANIFEST_NAME
-    if not mf.is_file():
-        raise FormatError(f"{path}: missing {MANIFEST_NAME}")
-    return parse_fields(mf.read_text().splitlines(), mf)
+    return parse_fields(read_lines(path, MANIFEST_NAME), Path(path) / MANIFEST_NAME)
 
 
 def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -> GridSample:
-    blob = fp.read_bytes()
+    blob = read_file(fp)
     if blob[:4] != DATASET_MAGIC:
         raise FormatError(f"{fp}: bad magic, not a GUQD day file")
     if len(blob) < 12:
@@ -408,8 +418,9 @@ class GeneratorParams:
     scales: np.ndarray   # (C,) per-channel unit scale
 
 
-def _smooth_field(rng: np.random.Generator, h: int, w: int, n_terms: int = 3):
-    """Amplitudes and (n_terms, H, W) phase grids of a sum of low-frequency sinusoids."""
+def _smooth_field(rng: np.random.Generator, h: int, w: int):
+    """Amplitudes and (3, H, W) phase grids of a sum of three low-frequency sinusoids."""
+    n_terms = 3
     amp = rng.uniform(0.3, 1.0, n_terms)
     fh = rng.uniform(0.2, 1.5, n_terms)
     fw = rng.uniform(0.2, 1.5, n_terms)

@@ -14,7 +14,7 @@ import datetime
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from statistics import NormalDist
 from typing import Sequence
@@ -32,7 +32,6 @@ EVAL_RNG_TAG = 11
 # Bump when stored held-out predictions would no longer match a fresh compute
 # (the forward pass, EVAL_RNG_TAG or the stored grids change).
 HELDOUT_VERSION = 1
-HELDOUT_GRIDS = {UQ_MCD: ("mean", "epistemic", "aleatoric"), UQ_CQR: ("lo", "mid", "hi")}
 
 
 def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
@@ -187,17 +186,18 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     """One seed's predictions on its held-out days, computed once per runs directory.
 
     The first call runs one forward per day (MCD: one generator seeded
-    [seed, EVAL_RNG_TAG] over the days in date order) and stores the MCD
-    mean/epistemic/aleatoric or raw CQR lo/mid/hi grids in
-    ``seed<N>_heldout.guqw``, with a key hashing the checkpoint, stats and
-    config.txt bytes, the seed, the held-out dates and raw inputs, and
-    HELDOUT_VERSION. Later calls load the file while the key matches. A
-    failed write costs a RuntimeWarning, not the result.
+    [seed, EVAL_RNG_TAG] over the days in date order) and stores the
+    prediction type's fields, the MCD mean/epistemic/aleatoric or raw CQR
+    lo/mid/hi grids, in ``seed<N>_heldout.guqw``, with a key hashing the
+    checkpoint, stats and config.txt bytes, the seed, the held-out dates and
+    raw inputs, and HELDOUT_VERSION. Later calls load the file while the key
+    matches. A failed write costs a RuntimeWarning, not the result.
     """
     if config.uq_method == UQ_CQR and record.qhat is None:
         raise ContractError(f"seed {record.seed}: CQR record has no qhat")
     days = sorted(config.split_days(samples, record.seed)[-1], key=lambda s: s.date)
-    names = HELDOUT_GRIDS[config.uq_method]
+    kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction
+    names = [f.name for f in fields(kind)]
     path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
     key = _heldout_key(runs_dir, record, days)
     try:
@@ -215,19 +215,15 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
             rng = np.random.default_rng([record.seed, EVAL_RNG_TAG])
             fresh = [mc_dropout_predict(params, x, config.t_passes, rng) for x in xs]
         else:
-            fresh = [cqr_predict(params, x, 0.0, config.alpha) for x in xs]  # the raw band
+            fresh = [cqr_predict(params, x, 0.0) for x in xs]  # the raw band
         grids = {n: np.stack([getattr(p, n) for p in fresh]) for n in names}
         try:
             save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})
         except OSError as err:
             warnings.warn(f"held-out predictions not stored: {err}", RuntimeWarning, stacklevel=2)
-    if config.uq_method == UQ_MCD:
-        preds = [McdPrediction(**{n: grids[n][i] for n in names})
-                 for i in range(len(days))]
-        return HeldOut(days=days, preds=preds, raw=preds)
-    raw = [CqrPrediction(**{n: grids[n][i] for n in names}, qhat=0.0, alpha=config.alpha)
-           for i in range(len(days))]
-    return HeldOut(days=days, preds=[b.widened(record.qhat) for b in raw], raw=raw)
+    raw = [kind(**{n: grids[n][i] for n in names}) for i in range(len(days))]
+    preds = raw if config.uq_method == UQ_MCD else [b.widened(record.qhat) for b in raw]
+    return HeldOut(days=days, preds=preds, raw=raw)
 
 
 def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> MetricsReport:

@@ -8,10 +8,10 @@ conv block ends in dropout so the same network serves MC sampling. No
 batch norm anywhere. Inputs of arbitrary H, W are zero-padded up to the
 next multiple of 2**depth and cropped back, so grid shape is preserved.
 
-Two heads share the trunk and differ only in the final 1x1 convolution:
-a Gaussian head with 2 output channels (mu, and a raw channel mapped to
-sigma^2 = softplus(raw) + 1e-6) or a quantile head with one channel per
-requested quantile level.
+The UQ method picks one of two heads, which share the trunk and differ
+only in the final 1x1 convolution: MC-dropout's Gaussian head with 2
+output channels (mu, and a raw channel mapped to sigma^2 = softplus(raw)
++ 1e-6) or CQR's quantile head with one channel per level of TAUS.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
 
-HEAD_GAUSSIAN = "gaussian"
-HEAD_QUANTILE = "quantile"
+UQ_MCD = "mcd"
+UQ_CQR = "cqr"
 
-DEFAULT_TAUS = (0.05, 0.5, 0.95)
+TAUS = (0.05, 0.5, 0.95)  # the quantile head's levels: band bottom, median, band top
 SIGMA2_FLOOR = 1e-6
 
 
@@ -38,8 +38,7 @@ class ModelConfig:
     base_width: int
     depth: int
     dropout_rate: float
-    head: str = HEAD_GAUSSIAN
-    taus: tuple[float, ...] = DEFAULT_TAUS
+    uq_method: str
 
     def __post_init__(self):
         if self.in_channels < 1:
@@ -49,19 +48,12 @@ class ModelConfig:
                 f"base_width and depth must be >= 1, got {self.base_width}, {self.depth}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.head not in (HEAD_GAUSSIAN, HEAD_QUANTILE):
-            raise ContractError(f"head must be '{HEAD_GAUSSIAN}' or '{HEAD_QUANTILE}'")
-        taus = tuple(float(t) for t in self.taus)
-        if self.head == HEAD_QUANTILE:
-            if len(taus) < 1 or any(not 0.0 < t < 1.0 for t in taus):
-                raise ContractError(f"quantile levels must lie in (0, 1), got {taus}")
-            if any(b <= a for a, b in zip(taus, taus[1:])):
-                raise ContractError(f"quantile levels must be strictly increasing, got {taus}")
-        object.__setattr__(self, "taus", taus)
+        if self.uq_method not in (UQ_MCD, UQ_CQR):
+            raise ContractError(f"uq_method must be '{UQ_MCD}' or '{UQ_CQR}'")
 
     @property
     def out_channels(self) -> int:
-        return 2 if self.head == HEAD_GAUSSIAN else len(self.taus)
+        return 2 if self.uq_method == UQ_MCD else len(TAUS)
 
 
 class UNetParams:
@@ -78,9 +70,9 @@ class UNetParams:
         self.config = config
         self.tensors = {name: tensors[name] for name in parameter_names(config)}
 
-    def require_grad(self, flag: bool = True) -> "UNetParams":
+    def require_grad(self) -> "UNetParams":
         for t in self.tensors.values():
-            t.requires_grad = flag
+            t.requires_grad = True
         return self
 
 
@@ -168,7 +160,7 @@ def forward(params: UNetParams, x: Tensor, dropout_active: bool = False,
     for lvl in range(cfg.depth):
         out = double_conv(out, f"enc{lvl}")
         skips.append(out)
-        out = ad.maxpool2d(out, 2)
+        out = ad.maxpool2d(out)
     out = double_conv(out, "bot")
     for lvl in reversed(range(cfg.depth)):
         out = ad.conv_transpose2d(out, t[f"up{lvl}_w"], t[f"up{lvl}_b"], stride=2)
@@ -193,14 +185,14 @@ def gaussian_moments(head_out: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def predict_quantiles(params: UNetParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Quantile-head prediction for one (C, H, W) input, one grid per level.
+    """Quantile-head prediction for one (C, H, W) input, one grid per level of TAUS.
 
     Dropout stays off. Outputs are raw head values in level order; no
     sorting is applied, so quantile crossings pass through and can be
     measured downstream.
     """
-    if params.config.head != HEAD_QUANTILE:
-        raise ContractError(f"predict_quantiles: model head is '{params.config.head}'")
+    if params.config.uq_method != UQ_CQR:
+        raise ContractError(f"predict_quantiles: model is for '{params.config.uq_method}'")
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 3:
         raise DimensionError(f"predict_quantiles: input must be (C, H, W), got shape {x.shape}")

@@ -30,15 +30,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (TRAIN_FRAC, ChannelStats, GridSample, convert_fields, dataset_fingerprint,
-                   parse_fields, split, standardize)
+                   parse_fields, read_lines, split, standardize)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
-from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig, UNetParams, build, forward,
+from .model import (TAUS, UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
                     gaussian_moments)
 from .uq import cqr_calibrate
-
-UQ_MCD = "mcd"
-UQ_CQR = "cqr"
 
 GRAD_CLIP_NORM = 5.0
 CONFIG_NAME = "config.txt"
@@ -72,7 +69,8 @@ def _record_from(cls, items: dict[str, str], where):
 @dataclass(frozen=True)
 class TrainConfig:
     """One training's settings. Its defaults are ``train``'s flag defaults, and
-    config.txt lists its fields in this order."""
+    config.txt lists its fields in this order. Every field is checked here, so a
+    bad one fails before anything in the runs directory changes."""
 
     uq_method: str
     base_width: int = 32
@@ -86,22 +84,25 @@ class TrainConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        if self.uq_method not in (UQ_MCD, UQ_CQR):
-            raise ContractError(f"uq_method must be '{UQ_MCD}' or '{UQ_CQR}'")
+        self.model_config(1)  # checks uq_method, base_width, depth and dropout_rate
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ContractError(f"lr must be finite and > 0, got {self.lr}")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ContractError("at least one seed is required")
+        if len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
+            raise ContractError(f"seeds must be distinct and >= 0, got {self.seeds}")
         if not 0.0 < self.alpha < 1.0:
             raise ContractError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.uq_method == UQ_MCD and self.t_passes < 2:
             raise ContractError(f"MC-dropout needs t_passes >= 2, got {self.t_passes}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     def model_config(self, in_channels: int) -> ModelConfig:
-        head = HEAD_GAUSSIAN if self.uq_method == UQ_MCD else HEAD_QUANTILE
         return ModelConfig(in_channels=in_channels, base_width=self.base_width,
-                           depth=self.depth, dropout_rate=self.dropout_rate, head=head)
+                           depth=self.depth, dropout_rate=self.dropout_rate,
+                           uq_method=self.uq_method)
 
     def split_days(self, samples: list[GridSample], seed: int):
         """One seed's (train, calib, val) days. Both methods validate on the days past
@@ -174,10 +175,10 @@ def _batch_arrays(samples: Sequence[GridSample]):
 def _batch_loss(params: UNetParams, xb, yb, maskb, dropout_active: bool,
                 rng: np.random.Generator | None) -> Tensor:
     out = forward(params, Tensor(xb), dropout_active=dropout_active, rng=rng)
-    if params.config.head == HEAD_GAUSSIAN:
+    if params.config.uq_method == UQ_MCD:
         mu, sigma2 = gaussian_moments(out)
         return gaussian_nll(mu, sigma2, yb, maskb)
-    return quantile_loss(out, yb, params.config.taus, maskb)
+    return quantile_loss(out, yb, TAUS, maskb)
 
 
 def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: int) -> float:
@@ -222,7 +223,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
         raise ContractError("fit: no training samples with station coverage")
     if not any(s.mask.any() for s in val_samples):
         raise ContractError("fit: validation set is empty or has no station pixels")
-    params.require_grad(True)
+    params.require_grad()
     state = ad.AdamState(params.tensors)
     drop_rng = np.random.default_rng([seed, 7])
     best_val = float("inf")
@@ -374,11 +375,10 @@ def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
 
 def write_run_config(out_dir, config: TrainConfig, samples: list[GridSample]) -> None:
     """config.txt: the TrainConfig fields with ``in_channels`` second, then the
-    quantile head's levels and the dataset fingerprint."""
-    in_channels = samples[0].x.shape[0]
+    quantile head's levels (TAUS) and the dataset fingerprint."""
     items = _record_items(config)
-    items.insert(1, f"in_channels={in_channels}")
-    items += [f"taus={','.join(repr(t) for t in config.model_config(in_channels).taus)}",
+    items.insert(1, f"in_channels={samples[0].x.shape[0]}")
+    items += [f"taus={','.join(repr(t) for t in TAUS)}",
               f"dataset={dataset_fingerprint(samples)}"]
     ad.write_atomic(Path(out_dir) / CONFIG_NAME, ("\n".join(items) + "\n").encode())
 
@@ -387,16 +387,13 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
     """Rebuild the TrainConfig and input channel count from config.txt; given samples,
     raise ContractError unless the runs were trained on them (channels, ``dataset=``)."""
     fp = Path(runs_dir) / CONFIG_NAME
-    if not fp.is_file():
-        raise FormatError(f"{runs_dir}: missing {CONFIG_NAME}")
-    items = parse_fields(fp.read_text().splitlines(), fp)
+    items = parse_fields(read_lines(runs_dir, CONFIG_NAME), fp)
     config = _record_from(TrainConfig, items, fp)
     in_channels = convert_fields(items, fp, {"in_channels": int})["in_channels"]
-    taus = config.model_config(in_channels).taus
     if "taus" in items and convert_fields(
-            items, fp, {"taus": lambda v: tuple(float(t) for t in v.split(","))})["taus"] != taus:
+            items, fp, {"taus": lambda v: tuple(float(t) for t in v.split(","))})["taus"] != TAUS:
         raise FormatError(f"{fp}: taus={items['taus']} differ from the quantile head's levels "
-                          f"{taus}")
+                          f"{TAUS}")
     if samples is not None:
         if samples[0].shape[0] != in_channels:
             raise ContractError(f"dataset has {samples[0].shape[0]} channels "
@@ -409,10 +406,8 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
 
 def read_runs_log(runs_dir) -> list[RunRecord]:
     fp = Path(runs_dir) / RUNS_LOG_NAME
-    if not fp.is_file():
-        raise FormatError(f"{runs_dir}: missing {RUNS_LOG_NAME}")
     return [RunRecord.from_line(line, f"{fp} line {ln}")
-            for ln, line in enumerate(fp.read_text().splitlines(), 1) if line.strip()]
+            for ln, line in enumerate(read_lines(runs_dir, RUNS_LOG_NAME), 1) if line.strip()]
 
 
 def load_run_params(runs_dir, record: RunRecord) -> tuple[UNetParams, ChannelStats]:

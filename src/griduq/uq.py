@@ -25,8 +25,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import GridSample
 from .errors import CalibrationError, ContractError
-from .model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, forward, gaussian_moments,
-                    predict_quantiles)
+from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments, predict_quantiles
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,6 @@ class CqrPrediction:
     lo: np.ndarray
     mid: np.ndarray
     hi: np.ndarray
-    qhat: float
-    alpha: float
 
     @property
     def interval_length(self) -> np.ndarray:
@@ -59,8 +56,7 @@ class CqrPrediction:
     def widened(self, qhat: float) -> "CqrPrediction":
         """This raw (qhat 0) band moved out by qhat on both sides; the median stays."""
         q32 = np.float32(qhat)
-        return CqrPrediction(lo=self.lo - q32, mid=self.mid, hi=self.hi + q32, qhat=float(qhat),
-                             alpha=self.alpha)
+        return CqrPrediction(lo=self.lo - q32, mid=self.mid, hi=self.hi + q32)
 
 
 def aggregate_mc_passes(mus: Sequence[np.ndarray],
@@ -91,7 +87,7 @@ def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int,
     All T passes run as one forward of batch T, drawing the same dropout masks
     in the same order as T one-pass forwards one after another.
     """
-    if params.config.head != HEAD_GAUSSIAN:
+    if params.config.uq_method != UQ_MCD:
         raise ContractError("mc_dropout_predict needs a Gaussian-head model")
     if t_passes < 2:
         raise ContractError(f"mc_dropout_predict: t_passes must be >= 2, got {t_passes}")
@@ -130,7 +126,7 @@ def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
 
     Days are forwarded batch_size at a time, dropout off, in sample order.
     """
-    if params.config.head != HEAD_QUANTILE:
+    if params.config.uq_method != UQ_CQR:
         raise ContractError("conformity_scores needs a quantile-head model")
     if batch_size < 1:
         raise ContractError(f"conformity_scores: batch_size must be >= 1, got {batch_size}")
@@ -153,13 +149,9 @@ def cqr_calibrate(params: UNetParams, calib_set: Sequence[GridSample],
     return conformal_quantile(conformity_scores(params, calib_set, batch_size), alpha)
 
 
-def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float,
-                alpha: float) -> CqrPrediction:
+def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float) -> CqrPrediction:
     """Symmetrically widened quantile band; the median passes through untouched."""
     if not math.isfinite(qhat):
         raise ContractError(f"cqr_predict: qhat must be finite, got {qhat}")
-    quantiles = predict_quantiles(params, x)
-    if len(quantiles) != 3:
-        raise ContractError(f"cqr_predict expects a 3-quantile head, got {len(quantiles)} levels")
-    lo, mid, hi = quantiles
-    return CqrPrediction(lo=lo, mid=mid, hi=hi, qhat=0.0, alpha=alpha).widened(qhat)
+    lo, mid, hi = predict_quantiles(params, x)
+    return CqrPrediction(lo=lo, mid=mid, hi=hi).widened(qhat)

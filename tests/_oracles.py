@@ -13,7 +13,7 @@ import numpy as np
 
 from griduq.autodiff import Tensor
 from griduq.data import GeneratorParams, GridSample
-from griduq.model import HEAD_GAUSSIAN, forward, gaussian_moments
+from griduq.model import UQ_MCD, forward, gaussian_moments
 
 
 def conv2d_loops(x, w, b, stride=1, padding=0):
@@ -261,6 +261,6 @@ def predict_gaussian(params, x, dropout_active=False, rng=None):
     """(mu, sigma^2) grids of a Gaussian-head model for one (C, H, W) input: one pass
     at batch 1, the reference that batched MC-dropout passes must equal bitwise."""
     x = np.asarray(x, dtype=np.float32)
-    assert params.config.head == HEAD_GAUSSIAN and x.shape[0] == params.config.in_channels
+    assert params.config.uq_method == UQ_MCD and x.shape[0] == params.config.in_channels
     mu, sigma2 = gaussian_moments(forward(params, Tensor(x[None]), dropout_active, rng))
     return mu.data[0, 0], sigma2.data[0, 0]

@@ -20,7 +20,7 @@ from scipy.stats import spearmanr
 
 from griduq import autodiff as ad
 from griduq import cli, data, losses, metrics, train, uq
-from griduq.model import (HEAD_GAUSSIAN, HEAD_QUANTILE, ModelConfig,
+from griduq.model import (UQ_CQR, UQ_MCD, ModelConfig,
                           UNetParams, build, forward,
                           predict_quantiles)
 
@@ -105,7 +105,7 @@ def uq_maps(dense_world, dense_cqr, dense_mcd):
     val_c = data.standardize(val, stats_c)
     val_m = data.standardize(val, stats_m)
     rng = np.random.default_rng(7)
-    int_grids = [uq.cqr_predict(params_c, s.x, rec_c.qhat, cfg_c.alpha).interval_length
+    int_grids = [uq.cqr_predict(params_c, s.x, rec_c.qhat).interval_length
                  for s in val_c]
     var_grids = [uq.mc_dropout_predict(params_m, s.x, cfg_m.t_passes, rng).total_variance
                  for s in val_m]
@@ -311,7 +311,7 @@ def test_criterion_03_overfit_sanity():
     stats = data.ChannelStats.from_samples(four)
     four_std = data.standardize(four, stats)
     config = ModelConfig(in_channels=28, base_width=8, depth=2,
-                         dropout_rate=0.0, head=HEAD_GAUSSIAN)
+                         dropout_rate=0.0, uq_method=UQ_MCD)
     params = build(config, seed=0)
     result = train.fit(params, four_std, four_std, epochs=300, lr=3e-3,
                        batch_size=4, seed=0)
@@ -477,7 +477,7 @@ def test_criterion_09_format_roundtrips(tmp_path):
         (d1 / n).read_bytes() == (d2 / n).read_bytes() for n in names1)
 
     params = build(ModelConfig(in_channels=5, base_width=4, depth=1,
-                               dropout_rate=0.1, head=HEAD_QUANTILE), seed=2)
+                               dropout_rate=0.1, uq_method=UQ_CQR), seed=2)
     p1, p2 = tmp_path / "w1.guqw", tmp_path / "w2.guqw"
     ad.save_checkpoint(p1, params.tensors)
     ad.save_checkpoint(p2, ad.load_checkpoint(p1))
@@ -501,9 +501,9 @@ def test_criterion_09_format_roundtrips(tmp_path):
 def test_criterion_10_shape_contract():
     checked = []
     for channels in (28, 51):
-        for head, out_channels in ((HEAD_GAUSSIAN, 2), (HEAD_QUANTILE, 3)):
+        for head, out_channels in ((UQ_MCD, 2), (UQ_CQR, 3)):
             params = build(ModelConfig(in_channels=channels, base_width=4, depth=3,
-                                       dropout_rate=0.1, head=head), seed=0)
+                                       dropout_rate=0.1, uq_method=head), seed=0)
             for h, w in ((31, 49), (31, 27)):
                 x = ad.Tensor(np.random.default_rng(1).normal(
                     size=(1, channels, h, w)).astype(np.float32))

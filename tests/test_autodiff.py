@@ -282,7 +282,7 @@ class TestDropout:
     def test_inactive_is_identity(self, rng, monkeypatch):
         # dropout is applied only when sampling: a forward with it off never calls it
         params = model.build(model.ModelConfig(in_channels=2, base_width=2, depth=1,
-                                               dropout_rate=0.5), 0)
+                                               dropout_rate=0.5, uq_method=model.UQ_MCD), 0)
         monkeypatch.setattr(ad, "dropout", None)
         model.forward(params, ad.Tensor(rng.normal(size=(1, 2, 4, 4))), dropout_active=False)
 
@@ -292,7 +292,7 @@ class TestDropout:
 
     def test_active_requires_rng(self):
         params = model.build(model.ModelConfig(in_channels=1, base_width=2, depth=1,
-                                               dropout_rate=0.5), 0)
+                                               dropout_rate=0.5, uq_method=model.UQ_MCD), 0)
         with pytest.raises(ContractError):
             model.forward(params, ad.Tensor(np.ones((1, 1, 2, 2))), dropout_active=True)
 

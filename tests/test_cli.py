@@ -128,6 +128,19 @@ class TestTrain:
         assert "t_passes >= 2" in capsys.readouterr().err
         assert not (tmp_path / "r" / "config.txt").exists()
 
+    @pytest.mark.parametrize("bad", [("--base-width", "0"), ("--seeds", "0,0"),
+                                     ("--seeds", "-1"), ("--lr", "nan")])
+    def test_bad_setting_leaves_finished_runs_unchanged(self, pipeline, tmp_path, capsys, bad):
+        data_dir, runs_dir = pipeline
+        runs = shutil.copytree(runs_dir, tmp_path / "runs")
+        before = {n: (runs / n).read_bytes() for n in ("runs.log", "config.txt")}
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(data_dir), "--uq", "cqr", "--epochs", "1",
+                       "--base-width", "4", "--depth", "1", *bad, "--out", str(runs)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error: "), err
+        assert {n: (runs / n).read_bytes() for n in before} == before
+
     def test_defaults_are_train_configs(self, tmp_path, monkeypatch):
         built = []
 
@@ -275,6 +288,30 @@ class TestMalformedRunsDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err, err
         assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "config.txt", "runs.log"])
+    def test_non_utf8_record_is_an_error_line(self, runs_copy, tmp_path, capsys, name):
+        data_dir, runs_dir = runs_copy
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        fp = (data_dir if name == "manifest.txt" else runs_dir) / name
+        fp.write_bytes(fp.read_bytes() + b"\xff\xfe")
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "not UTF-8" in err, err
+
+    def test_unreadable_day_file_is_an_error_line(self, runs_copy, tmp_path, capsys):
+        data_dir, runs_dir = runs_copy
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        config, _ = train.read_run_config(runs_dir)
+        held = config.split_days(data.open_dataset(data_dir)[0], 0)[-1][0]  # a day eval reads
+        day = data_dir / f"{held.date.isoformat()}.guq"
+        day.unlink()
+        day.mkdir()
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{day.name}: cannot read" in err, err
 
     def test_damaged_heldout_file_is_recomputed(self, runs_copy, tmp_path):
         data_dir, runs_dir = runs_copy

@@ -11,6 +11,10 @@ some code of the package reads an attribute of that name, on any object, or
 names it in ``getattr``. Dunder methods are Python's to call. The record
 classes in ``RECORDS`` are read field by field through ``dataclasses.fields``,
 so all of their fields count as read.
+
+Parameters: a defaulted parameter of a function or method counts as set
+when some call in the package may pass it a value other than its default;
+one that nothing sets is a constant written as a setting.
 """
 
 import ast
@@ -24,6 +28,16 @@ PACKAGE = Path(griduq.__file__).parent
 ALLOWED = {
     # the benchmark's reader of every extrapolate map (perfbench/harness.py check_outputs)
     ("export", "read_grid_csv"),
+}
+
+# defaulted parameters that no package call sets, each kept for a reason
+ALLOWED_UNSET = {
+    # the loop-oracle and adjoint tests of the stride-2 phase path set it
+    "autodiff.conv2d(stride)",
+    # the benchmark passes main its arguments; the console script leaves them to sys.argv
+    "cli.main(argv)",
+    # the benchmark passes it positionally and the acceptance tests leave it out
+    "data.split(train_frac)",
 }
 
 # record classes that the package reads through dataclasses.fields: config.txt and
@@ -124,6 +138,92 @@ def test_allowed_names_exist_and_are_otherwise_unused():
     for mod, name in ALLOWED:
         assert name in _definitions(modules[mod]), f"{mod}.{name}"
         assert (mod, name) not in refs, f"{mod}.{name} is used; drop it from ALLOWED"
+
+
+def _functions(modules) -> dict[str, list[tuple[str, ast.FunctionDef, bool]]]:
+    """Every function and method of the package by the name it is called by:
+    (module, node, is_method). A class's ``__init__`` is filed under the class name."""
+    found: dict[str, list] = {}
+    for mod, tree in modules.items():
+        methods = set()
+        for cls in (c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)):
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef):
+                    methods.add(id(f))
+                    if f.name == "__init__":
+                        found.setdefault(cls.name, []).append((mod, f, True))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name != "__init__":
+                found.setdefault(node.name, []).append((mod, node, id(node) in methods))
+    return found
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, str, str]]:
+    """(position, or None when keyword-only; name; dumped default) of each defaulted
+    parameter. Positions count from the first argument a caller writes."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if is_method and positional and positional[0].arg in ("self", "cls") else 0
+    out = [(i - skip, a.arg, ast.dump(d))
+           for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first)]
+    return out + [(None, a.arg, ast.dump(d))
+                  for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _passes_other_value(call: ast.Call, pos: int | None, param: str, default: str) -> bool:
+    """Whether a call may pass ``param`` a value other than its default; a call with
+    ``*args`` or ``**kwargs`` may pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return True
+    given = [k.value for k in call.keywords if k.arg == param]
+    if pos is not None and pos < len(call.args):
+        given.append(call.args[pos])
+    return any(ast.dump(v) != default for v in given)
+
+
+def unset_parameters() -> list[str]:
+    """Defaulted parameters that no call in the package passes another value to.
+
+    Calls are matched by the name they call (``f(...)`` or ``obj.f(...)``), so a
+    call counts for every function of that name. A function that is named other
+    than as the callee of a call (a handler stored in a dict, say) may be called
+    with anything, so its parameters count as set.
+    """
+    modules = _modules()
+    functions = _functions(modules)
+    classes = {c.name for tree in modules.values() for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef)}
+    calls: dict[str, list[ast.Call]] = {}
+    callees = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+                callees.add(id(node.func))
+    escaped = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in callees and name in functions and name not in classes):
+                escaped.add(name)
+    return sorted({f"{mod}.{name}({param})"
+                   for name, defs in functions.items() if name not in escaped
+                   for mod, fn, is_method in defs
+                   for pos, param, default in _defaulted(fn, is_method)
+                   if not any(_passes_other_value(c, pos, param, default)
+                              for c in calls.get(name, []))})
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    assert [p for p in unset_parameters() if p not in ALLOWED_UNSET] == []
+
+
+def test_allowed_unset_parameters_are_unset():
+    assert sorted(ALLOWED_UNSET) == [p for p in unset_parameters() if p in ALLOWED_UNSET]
 
 
 def test_records_are_dataclasses():

@@ -17,7 +17,7 @@ from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore
                             rank_for_runs, rank_stations, series_for_runs,
                             time_mean_over_masked, uq_stats, _normal_quantile,
                             _population_stats)
-from griduq.model import HEAD_QUANTILE, ModelConfig, build
+from griduq.model import UQ_CQR, ModelConfig, build
 from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_config,
                           read_runs_log)
 from griduq.uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
@@ -25,9 +25,9 @@ from griduq.uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_pred
 from _oracles import rmse_loops
 
 
-def cqr_pred(lo, mid, hi, qhat=0.0):
+def cqr_pred(lo, mid, hi):
     return CqrPrediction(lo=np.asarray(lo, np.float32), mid=np.asarray(mid, np.float32),
-                         hi=np.asarray(hi, np.float32), qhat=qhat, alpha=0.1)
+                         hi=np.asarray(hi, np.float32))
 
 
 def mcd_pred(mean, epi, alea):
@@ -165,8 +165,8 @@ class TestCrossingRate:
         from griduq.model import predict_quantiles
         samples, _ = tiny_samples
         params = build(ModelConfig(in_channels=28, base_width=4, depth=1,
-                                   dropout_rate=0.0, head=HEAD_QUANTILE), seed=3)
-        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0, 0.1) for s in samples[:4]],
+                                   dropout_rate=0.0, uq_method=UQ_CQR), seed=3)
+        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0) for s in samples[:4]],
                                      samples[:4])
         crossed = total = 0
         for s in samples[:4]:
@@ -281,7 +281,7 @@ class TestEvaluateRuns:
         from griduq.data import standardize
         _, _, val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)
         val = sorted(val, key=lambda s: s.date)
-        preds = [cqr_predict(params, z.x, rec.qhat, config.alpha)
+        preds = [cqr_predict(params, z.x, rec.qhat)
                  for z in standardize(val, stats)]
         assert report.rmse_per_seed[0] == pytest.approx(
             pooled_rmse([p.mid for p in preds], val), abs=1e-12)
@@ -299,7 +299,7 @@ class TestEvaluateRuns:
             params, stats = load_run_params(runs_dir, rec)
             val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)[-1]
             for rates, qhat in ((raw, 0.0), (widened, rec.qhat)):
-                bands = [cqr_predict(params, z.x, qhat, 0.1) for z in standardize(val, stats)]
+                bands = [cqr_predict(params, z.x, qhat) for z in standardize(val, stats)]
                 rates.append(np.mean(np.concatenate([(b.lo > b.hi)[s.mask]
                                                      for b, s in zip(bands, val)])))
         report = evaluate_runs(samples, tiny_region, runs_dir)
@@ -401,7 +401,7 @@ def evals_predictions(samples, runs_dir):
             rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
             out.append([mc_dropout_predict(params, x, config.t_passes, rng) for x in xs])
         else:
-            out.append([cqr_predict(params, x, rec.qhat, config.alpha) for x in xs])
+            out.append([cqr_predict(params, x, rec.qhat) for x in xs])
     return out
 
 

@@ -7,7 +7,7 @@ from griduq import autodiff as ad
 from griduq.autodiff import Tensor
 from griduq.errors import ContractError, DimensionError
 from griduq.losses import gaussian_nll, quantile_loss
-from griduq.model import (DEFAULT_TAUS, HEAD_GAUSSIAN, HEAD_QUANTILE, SIGMA2_FLOOR,
+from griduq.model import (SIGMA2_FLOOR, TAUS, UQ_CQR, UQ_MCD,
                           ModelConfig, UNetParams, build, forward, gaussian_moments,
                           parameter_names, predict_quantiles)
 
@@ -15,18 +15,15 @@ from _oracles import predict_gaussian
 
 
 def small_config(**kw):
-    base = dict(in_channels=5, base_width=4, depth=2, dropout_rate=0.1)
+    base = dict(in_channels=5, base_width=4, depth=2, dropout_rate=0.1, uq_method=UQ_MCD)
     base.update(kw)
     return ModelConfig(**base)
 
 
 class TestConfig:
     def test_out_channels(self):
-        assert small_config(head=HEAD_GAUSSIAN).out_channels == 2
-        assert small_config(head=HEAD_QUANTILE).out_channels == 3
-
-    def test_taus_default(self):
-        assert small_config(head=HEAD_QUANTILE).taus == DEFAULT_TAUS
+        assert small_config(uq_method=UQ_MCD).out_channels == 2
+        assert small_config(uq_method=UQ_CQR).out_channels == len(TAUS) == 3
 
     @pytest.mark.parametrize("kw", [
         dict(in_channels=0),
@@ -34,10 +31,7 @@ class TestConfig:
         dict(depth=0),
         dict(dropout_rate=1.0),
         dict(dropout_rate=-0.1),
-        dict(head="softmax"),
-        dict(head=HEAD_QUANTILE, taus=(0.5, 0.5)),
-        dict(head=HEAD_QUANTILE, taus=(0.9, 0.1)),
-        dict(head=HEAD_QUANTILE, taus=(0.0, 0.5, 1.0)),
+        dict(uq_method="softmax"),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ContractError):
@@ -100,7 +94,7 @@ class TestForward:
         assert out.shape == (2, 2, 31, 49)
 
     def test_output_shape_quantile(self):
-        params = build(small_config(head=HEAD_QUANTILE, depth=2), seed=1)
+        params = build(small_config(uq_method=UQ_CQR, depth=2), seed=1)
         x = Tensor(np.random.default_rng(0).normal(size=(1, 5, 16, 16)).astype(np.float32))
         assert forward(params, x).shape == (1, 3, 16, 16)
 
@@ -183,7 +177,7 @@ class TestHeads:
         assert np.all(s2 > 0)
 
     def test_predict_quantiles_raw_head_values(self, rng):
-        params = build(small_config(head=HEAD_QUANTILE), seed=0)
+        params = build(small_config(uq_method=UQ_CQR), seed=0)
         x = rng.normal(size=(5, 9, 9)).astype(np.float32)
         levels = predict_quantiles(params, x)
         assert len(levels) == 3
@@ -198,15 +192,15 @@ class TestHeads:
             predict_quantiles(g, x)
 
     def test_predict_rejects_batched_input(self):
-        params = build(small_config(head=HEAD_QUANTILE), seed=0)
+        params = build(small_config(uq_method=UQ_CQR), seed=0)
         with pytest.raises(DimensionError):
             predict_quantiles(params, np.zeros((1, 5, 8, 8), dtype=np.float32))
 
 
 class TestGradientFlow:
-    @pytest.mark.parametrize("head", [HEAD_GAUSSIAN, HEAD_QUANTILE])
-    def test_every_parameter_gets_gradient(self, head, rng):
-        params = build(small_config(head=head, dropout_rate=0.0), seed=0).require_grad()
+    @pytest.mark.parametrize("uq_method", [UQ_MCD, UQ_CQR], ids=["gaussian", "quantile"])
+    def test_every_parameter_gets_gradient(self, uq_method, rng):
+        params = build(small_config(uq_method=uq_method, dropout_rate=0.0), seed=0).require_grad()
         x = Tensor(rng.normal(size=(2, 5, 8, 8)).astype(np.float32))
         y = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
         mask = rng.uniform(size=y.shape) < 0.5
@@ -214,11 +208,11 @@ class TestGradientFlow:
         tape = ad.Tape()
         with tape:
             out = forward(params, x)
-            if head == HEAD_GAUSSIAN:
+            if uq_method == UQ_MCD:
                 mu, s2 = gaussian_moments(out)
                 loss = gaussian_nll(mu, s2, y, mask)
             else:
-                loss = quantile_loss(out, y, DEFAULT_TAUS, mask)
+                loss = quantile_loss(out, y, TAUS, mask)
         ad.zero_grads(params.tensors)
         ad.backward(tape, loss)
         for name, t in params.tensors.items():
@@ -226,7 +220,7 @@ class TestGradientFlow:
 
     def test_tiny_overfit_drops_loss(self, rng):
         params = build(ModelConfig(in_channels=3, base_width=4, depth=1,
-                                   dropout_rate=0.0), seed=0).require_grad()
+                                   dropout_rate=0.0, uq_method=UQ_MCD), seed=0).require_grad()
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
         y = rng.normal(size=(2, 1, 8, 8)).astype(np.float32)
         mask = np.ones_like(y, dtype=bool)

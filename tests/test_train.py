@@ -11,8 +11,7 @@ from griduq.autodiff import Tensor
 from griduq.data import GridSample, dataset_fingerprint, split, standardize, ChannelStats
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
-from griduq.model import (HEAD_GAUSSIAN, HEAD_QUANTILE, UNetParams, build, forward,
-                          gaussian_moments)
+from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
 from griduq.train import (CONFIG_NAME, GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
                           aggregate_seed_losses, clip_grad_norm, fit, load_run_params,
                           read_run_config, read_runs_log, resolve_workers, train_all_seeds,
@@ -35,8 +34,8 @@ def prepared(tiny_samples, seed=0):
 
 class TestTrainConfig:
     def test_head_selection(self):
-        assert tiny_config("mcd").model_config(28).head == HEAD_GAUSSIAN
-        assert tiny_config("cqr").model_config(28).head == HEAD_QUANTILE
+        assert tiny_config("mcd").model_config(28).uq_method == UQ_MCD
+        assert tiny_config("cqr").model_config(28).uq_method == UQ_CQR
 
     def test_model_config_forwards_knobs(self):
         mc = tiny_config("mcd", base_width=8, depth=2, dropout_rate=0.25).model_config(51)
@@ -49,6 +48,15 @@ class TestTrainConfig:
         dict(seeds=()),
         dict(alpha=0.0),
         dict(alpha=1.0),
+        dict(base_width=0),
+        dict(depth=0),
+        dict(dropout_rate=1.0),
+        dict(seeds=(0, 0)),
+        dict(seeds=(-1,)),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(lr=0.0),
+        dict(lr=-1e-3),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ContractError):
@@ -254,7 +262,7 @@ class TestTrainAllSeeds:
                                                deterministic=True)
         assert failures == []
         params, stats = load_run_params(tmp_path, records[0])
-        assert params.config.head == HEAD_QUANTILE
+        assert params.config.uq_method == UQ_CQR
         assert params.config.in_channels == 28
         assert stats.mean.shape == (28,)
         assert np.all(stats.std > 0)

@@ -6,18 +6,19 @@ import pytest
 from griduq.data import GridSample, NoiseProfile, generate_synthetic, region_synthetic
 from griduq.errors import CalibrationError, ContractError
 from griduq.metrics import empirical_coverage, pooled_rmse
-from griduq.model import HEAD_QUANTILE, ModelConfig, build
+from griduq.model import UQ_CQR, UQ_MCD, ModelConfig, build
 from griduq.uq import (aggregate_mc_passes, cqr_calibrate, cqr_predict,
                        conformal_quantile, conformity_scores, mc_dropout_predict)
 
 
 def gaussian_model(dropout=0.3, seed=0):
-    return build(ModelConfig(in_channels=4, base_width=4, depth=1, dropout_rate=dropout), seed)
+    return build(ModelConfig(in_channels=4, base_width=4, depth=1, dropout_rate=dropout,
+                             uq_method=UQ_MCD), seed)
 
 
 def quantile_model(seed=0, in_channels=28, dropout=0.1):
     return build(ModelConfig(in_channels=in_channels, base_width=4, depth=1,
-                             dropout_rate=dropout, head=HEAD_QUANTILE), seed)
+                             dropout_rate=dropout, uq_method=UQ_CQR), seed)
 
 
 class TestAggregateMcPasses:
@@ -97,7 +98,7 @@ class TestMcDropoutPredict:
     def test_batch_equals_loop_of_single_passes(self, width, depth, hw, t_passes, rate, rng):
         from _oracles import predict_gaussian
         params = build(ModelConfig(in_channels=4, base_width=width, depth=depth,
-                                   dropout_rate=rate), seed=0)
+                                   dropout_rate=rate, uq_method=UQ_MCD), seed=0)
         x = rng.normal(size=(4, *hw)).astype(np.float32)
         batch_rng, loop_rng = [np.random.default_rng(9) if rate else None for _ in range(2)]
         pred = mc_dropout_predict(params, x, t_passes, batch_rng)
@@ -195,7 +196,7 @@ class TestCqr:
         samples, _ = generate_synthetic(spec, 11, 28, NoiseProfile("homoscedastic", 2.0),
                                         0.5, seed=4)
         params = build(ModelConfig(in_channels=28, base_width=4, depth=2,
-                                   dropout_rate=0.1, head=HEAD_QUANTILE), seed=3)
+                                   dropout_rate=0.1, uq_method=UQ_CQR), seed=3)
         scores = conformity_scores(params, samples, batch_size)
         per_day = np.concatenate([conformity_scores(params, [s], 8) for s in samples])
         assert scores.dtype == np.float64
@@ -213,7 +214,7 @@ class TestCqr:
         params, samples = tiny_world
         x = samples[0].x
         lo, mid, hi = predict_quantiles(params, x)
-        pred = cqr_predict(params, x, qhat=1.25, alpha=0.1)
+        pred = cqr_predict(params, x, qhat=1.25)
         assert np.allclose(pred.lo, lo - np.float32(1.25))
         assert np.allclose(pred.hi, hi + np.float32(1.25))
         assert np.array_equal(pred.mid, mid)
@@ -222,14 +223,14 @@ class TestCqr:
     def test_negative_qhat_narrows(self, tiny_world):
         # very easy data can produce a negative correction; bands must shrink
         params, samples = tiny_world
-        wide = cqr_predict(params, samples[0].x, qhat=0.0, alpha=0.1)
-        narrow = cqr_predict(params, samples[0].x, qhat=-0.5, alpha=0.1)
+        wide = cqr_predict(params, samples[0].x, qhat=0.0)
+        narrow = cqr_predict(params, samples[0].x, qhat=-0.5)
         assert np.all(narrow.interval_length < wide.interval_length)
 
     def test_qhat_must_be_finite(self, tiny_world):
         params, samples = tiny_world
         with pytest.raises(ContractError):
-            cqr_predict(params, samples[0].x, qhat=float("nan"), alpha=0.1)
+            cqr_predict(params, samples[0].x, qhat=float("nan"))
 
     def test_head_guard(self, tiny_world):
         _, samples = tiny_world
@@ -246,7 +247,7 @@ class TestCqr:
             calib = [samples[i] for i in order[:40]]
             test = [samples[i] for i in order[40:]]
             qhat = cqr_calibrate(params, calib, alpha=0.1, batch_size=8)
-            preds = [cqr_predict(params, s.x, qhat, 0.1) for s in test]
+            preds = [cqr_predict(params, s.x, qhat) for s in test]
             coverages.append(empirical_coverage(preds, test))
         avg = float(np.mean(coverages))
         assert 0.88 <= avg <= 0.93, f"mean coverage {avg} outside conformal band"
