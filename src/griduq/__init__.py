@@ -16,7 +16,7 @@ from .errors import (CalibrationError, ContractError, DimensionError, FormatErro
 from .losses import gaussian_nll, pinball, quantile_loss
 from .metrics import MetricsReport, StationScore, empirical_coverage, evaluate_runs, rank_stations
 from .model import (UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
-                    gaussian_moments, predict_quantiles)
+                    gaussian_moments)
 from .train import RunRecord, TrainConfig, fit, train_all_seeds, train_one
 from .uq import (CqrPrediction, McdPrediction, cqr_calibrate, cqr_predict,
                  conformal_quantile, mc_dropout_predict)

@@ -129,9 +129,9 @@ def zero_grads(tensors) -> None:
         t.grad = np.zeros_like(t.data)
 
 
-def _require_rank(op: str, t: Tensor, rank: int, what: str = "input") -> None:
-    if t.ndim != rank:
-        raise DimensionError(f"{op}: {what} must have rank {rank}, got shape {t.shape}")
+def _require_nchw(op: str, t: Tensor, what: str = "input") -> None:
+    if t.ndim != 4:
+        raise DimensionError(f"{op}: {what} must have rank 4, got shape {t.shape}")
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -190,8 +190,8 @@ def _tap_gemm(taps, src: np.ndarray, dst: np.ndarray, mats: np.ndarray | None = 
 
 
 def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor | None, cin_axis: int) -> None:
-    _require_rank(op, x, 4)
-    _require_rank(op, weight, 4, "weight")
+    _require_nchw(op, x)
+    _require_nchw(op, weight, "weight")
     cin, cout = weight.shape[cin_axis], weight.shape[1 - cin_axis]
     if x.shape[1] != cin:
         raise DimensionError(f"{op}: input channel axis Cin={x.shape[1]} does not match weight Cin={cin}")
@@ -276,7 +276,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     Ties route the gradient to the first maximum in row-major window
     order, and a NaN counts as a maximum.
     """
-    _require_rank("maxpool2d", x, 4)
+    _require_nchw("maxpool2d", x)
     n, c, h, w = x.shape
     k = 2
     if h % k or w % k:
@@ -403,8 +403,8 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two NCHW tensors along the channel axis."""
-    _require_rank("concat_channels", a, 4)
-    _require_rank("concat_channels", b, 4, "second input")
+    _require_nchw("concat_channels", a)
+    _require_nchw("concat_channels", b, "second input")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise DimensionError(
             f"concat_channels: N/H/W axes must match, got {a.shape} vs {b.shape}")
@@ -418,7 +418,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 def slice_channels(x: Tensor, c0: int, c1: int) -> Tensor:
     """Take channels [c0, c1) of an NCHW tensor."""
-    _require_rank("slice_channels", x, 4)
+    _require_nchw("slice_channels", x)
     c = x.shape[1]
     if not (0 <= c0 < c1 <= c):
         raise DimensionError(f"slice_channels: range [{c0},{c1}) invalid for C={c}")
@@ -433,7 +433,7 @@ def slice_channels(x: Tensor, c0: int, c1: int) -> Tensor:
 
 def pad2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
     """Zero-pad the bottom/right of the spatial axes up to (h_out, w_out)."""
-    _require_rank("pad2d", x, 4)
+    _require_nchw("pad2d", x)
     n, c, h, w = x.shape
     if h_out < h or w_out < w:
         raise DimensionError(f"pad2d: target ({h_out},{w_out}) smaller than input ({h},{w})")
@@ -448,7 +448,7 @@ def pad2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
 
 def crop2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
     """Keep the top-left (h_out, w_out) window of the spatial axes."""
-    _require_rank("crop2d", x, 4)
+    _require_nchw("crop2d", x)
     n, c, h, w = x.shape
     if h_out > h or w_out > w:
         raise DimensionError(f"crop2d: target ({h_out},{w_out}) larger than input ({h},{w})")

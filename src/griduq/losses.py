@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
+from .model import TAUS
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -66,14 +67,13 @@ def pinball(q: Tensor, y: np.ndarray, tau: float, mask: np.ndarray) -> Tensor:
     return ad.mean_masked(tilted, mask)
 
 
-def quantile_loss(head_out: Tensor, y: np.ndarray, taus, mask: np.ndarray) -> Tensor:
-    """Sum of pinball terms, one per head channel, equally weighted."""
-    taus = tuple(taus)
-    if head_out.ndim != 4 or head_out.shape[1] != len(taus):
+def quantile_loss(head_out: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Sum of pinball terms, one per head channel at its level of TAUS, equally weighted."""
+    if head_out.ndim != 4 or head_out.shape[1] != len(TAUS):
         raise DimensionError(
-            f"quantile_loss: head {head_out.shape} must carry {len(taus)} channels")
+            f"quantile_loss: head {head_out.shape} must carry {len(TAUS)} channels")
     total = None
-    for i, tau in enumerate(taus):
+    for i, tau in enumerate(TAUS):
         term = pinball(ad.slice_channels(head_out, i, i + 1), y, tau, mask)
         total = term if total is None else ad.add(total, term)
     return total

@@ -193,8 +193,9 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     raw inputs, and HELDOUT_VERSION. Later calls load the file while the key
     matches. A failed write costs a RuntimeWarning, not the result.
     """
-    if config.uq_method == UQ_CQR and record.qhat is None:
-        raise ContractError(f"seed {record.seed}: CQR record has no qhat")
+    if config.uq_method == UQ_CQR and (record.qhat is None or not math.isfinite(record.qhat)):
+        raise ContractError(f"seed {record.seed}: CQR record needs a finite qhat, "
+                            f"got {record.qhat}")
     days = sorted(config.split_days(samples, record.seed)[-1], key=lambda s: s.date)
     kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction
     names = [f.name for f in fields(kind)]
@@ -215,7 +216,7 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
             rng = np.random.default_rng([record.seed, EVAL_RNG_TAG])
             fresh = [mc_dropout_predict(params, x, config.t_passes, rng) for x in xs]
         else:
-            fresh = [cqr_predict(params, x, 0.0) for x in xs]  # the raw band
+            fresh = [cqr_predict(params, x) for x in xs]  # the raw band
         grids = {n: np.stack([getattr(p, n) for p in fresh]) for n in names}
         try:
             save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})

@@ -183,22 +183,3 @@ def gaussian_moments(head_out: Tensor) -> tuple[Tensor, Tensor]:
     sigma2 = ad.add_scalar(ad.softplus(ad.slice_channels(head_out, 1, 2)), SIGMA2_FLOOR)
     return mu, sigma2
 
-
-def predict_quantiles(params: UNetParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Quantile-head prediction for one (C, H, W) input, one grid per level of TAUS.
-
-    Dropout stays off. Outputs are raw head values in level order; no
-    sorting is applied, so quantile crossings pass through and can be
-    measured downstream.
-    """
-    if params.config.uq_method != UQ_CQR:
-        raise ContractError(f"predict_quantiles: model is for '{params.config.uq_method}'")
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3:
-        raise DimensionError(f"predict_quantiles: input must be (C, H, W), got shape {x.shape}")
-    if x.shape[0] != params.config.in_channels:
-        raise DimensionError(
-            f"predict_quantiles: channel axis C={x.shape[0]} does not match config in_channels="
-            f"{params.config.in_channels}")
-    out = forward(params, Tensor(x[None]), dropout_active=False)
-    return tuple(out.data[0, i] for i in range(params.config.out_channels))

@@ -2,8 +2,8 @@
 
 A runs directory holds one ``config.txt`` (key=value), one ``runs.log``
 line per completed seed (rewritten as each seed finishes), and per seed:
-the best-validation checkpoint, the final-epoch checkpoint, and the
-channel statistics used to standardize inputs (all GUQW files).
+the best-validation checkpoint and the channel statistics used to
+standardize inputs (both GUQW files).
 Everything a later evaluation needs to rebuild the model and reproduce
 the split lives in those files. Every file is written to a temp file and
 renamed into place.
@@ -122,7 +122,6 @@ class RunRecord:
     final_train_loss: float
     qhat: float | None
     checkpoint: str        # runs-dir relative paths
-    final_checkpoint: str
     stats: str
     wall_time_s: float
 
@@ -150,15 +149,15 @@ def resolve_workers(n_tasks: int, deterministic: bool = False) -> int:
     return min(n_tasks, os.cpu_count() or 1)
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_grad_norm(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their global L2 norm is at most GRAD_CLIP_NORM."""
     total = 0.0
     for t in params.values():
         if t.grad is not None:
             total += float(np.sum(t.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if norm > max_norm:
-        factor = np.float32(max_norm / norm)
+    if norm > GRAD_CLIP_NORM:
+        factor = np.float32(GRAD_CLIP_NORM / norm)
         for t in params.values():
             if t.grad is not None:
                 t.grad *= factor
@@ -178,7 +177,7 @@ def _batch_loss(params: UNetParams, xb, yb, maskb, dropout_active: bool,
     if params.config.uq_method == UQ_MCD:
         mu, sigma2 = gaussian_moments(out)
         return gaussian_nll(mu, sigma2, yb, maskb)
-    return quantile_loss(out, yb, TAUS, maskb)
+    return quantile_loss(out, yb, maskb)
 
 
 def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: int) -> float:
@@ -246,7 +245,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
                 raise TrainingError(f"non-finite training loss at epoch {epoch}, batch {bi}")
             ad.zero_grads(params.tensors)
             ad.backward(tape, loss)
-            clip_grad_norm(params.tensors, GRAD_CLIP_NORM)
+            clip_grad_norm(params.tensors)
             ad.adam_step(params.tensors, state, lr=lr)
             n = int(maskb.sum())
             epoch_total += value * n
@@ -287,12 +286,10 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
     wall = time.perf_counter() - started
 
     best_name = f"seed{seed}_best.guqw"
-    final_name = f"seed{seed}_final.guqw"
     stats_name = f"seed{seed}_stats.guqw"
     best_params = UNetParams(model_config,
                              {name: Tensor(arr) for name, arr in result.best_state.items()})
     ad.save_checkpoint(out / best_name, best_params.tensors)
-    ad.save_checkpoint(out / final_name, params.tensors)
     ad.save_checkpoint(out / stats_name, {"mean": Tensor(stats.mean), "std": Tensor(stats.std)})
 
     qhat = None
@@ -302,7 +299,7 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
 
     return RunRecord(seed=seed, best_val_loss=result.best_val_loss,
                      best_epoch=result.best_epoch, final_train_loss=result.final_train_loss,
-                     qhat=qhat, checkpoint=best_name, final_checkpoint=final_name,
+                     qhat=qhat, checkpoint=best_name,
                      stats=stats_name, wall_time_s=wall)
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import GridSample
-from .errors import CalibrationError, ContractError
-from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments, predict_quantiles
+from .errors import CalibrationError, ContractError, DimensionError
+from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,21 @@ def cqr_calibrate(params: UNetParams, calib_set: Sequence[GridSample],
     return conformal_quantile(conformity_scores(params, calib_set, batch_size), alpha)
 
 
-def cqr_predict(params: UNetParams, x: np.ndarray, qhat: float) -> CqrPrediction:
-    """Symmetrically widened quantile band; the median passes through untouched."""
-    if not math.isfinite(qhat):
-        raise ContractError(f"cqr_predict: qhat must be finite, got {qhat}")
-    lo, mid, hi = predict_quantiles(params, x)
-    return CqrPrediction(lo=lo, mid=mid, hi=hi).widened(qhat)
+def cqr_predict(params: UNetParams, x: np.ndarray) -> CqrPrediction:
+    """The raw (qhat 0) quantile band for one (C, H, W) input; ``widened`` applies a qhat.
+
+    Dropout stays off. The grids are raw head values in TAUS order; no
+    sorting is applied, so quantile crossings pass through and can be
+    measured downstream.
+    """
+    if params.config.uq_method != UQ_CQR:
+        raise ContractError(f"cqr_predict: model is for '{params.config.uq_method}'")
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim != 3:
+        raise DimensionError(f"cqr_predict: input must be (C, H, W), got shape {x.shape}")
+    if x.shape[0] != params.config.in_channels:
+        raise DimensionError(
+            f"cqr_predict: channel axis C={x.shape[0]} does not match config in_channels="
+            f"{params.config.in_channels}")
+    lo, mid, hi = forward(params, Tensor(x[None]), dropout_active=False).data[0]
+    return CqrPrediction(lo=lo, mid=mid, hi=hi)

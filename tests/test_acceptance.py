@@ -21,8 +21,7 @@ from scipy.stats import spearmanr
 from griduq import autodiff as ad
 from griduq import cli, data, losses, metrics, train, uq
 from griduq.model import (UQ_CQR, UQ_MCD, ModelConfig,
-                          UNetParams, build, forward,
-                          predict_quantiles)
+                          UNetParams, build, forward)
 
 from _gradcheck import gradcheck, lattice_values
 from _oracles import predict_gaussian
@@ -99,13 +98,12 @@ def uq_maps(dense_world, dense_cqr, dense_mcd):
     rec_m = train.read_runs_log(dense_mcd)[0]
     params_c, stats_c = train.load_run_params(dense_cqr, rec_c)
     params_m, stats_m = train.load_run_params(dense_mcd, rec_m)
-    cfg_c, _ = train.read_run_config(dense_cqr)
     cfg_m, _ = train.read_run_config(dense_mcd)
     val = data.split(samples, seed=rec_c.seed)[1]
     val_c = data.standardize(val, stats_c)
     val_m = data.standardize(val, stats_m)
     rng = np.random.default_rng(7)
-    int_grids = [uq.cqr_predict(params_c, s.x, rec_c.qhat).interval_length
+    int_grids = [uq.cqr_predict(params_c, s.x).widened(rec_c.qhat).interval_length
                  for s in val_c]
     var_grids = [uq.mc_dropout_predict(params_m, s.x, cfg_m.t_passes, rng).total_variance
                  for s in val_m]
@@ -132,8 +130,8 @@ def test_criterion_01_conformal_coverage(sparse_world, sparse_cqr, tmp_path):
     day_scores = [uq.conformity_scores(params, [s], 8) for s in pool_std]
     day_bounds = []
     for s in pool_std:
-        lo, _, hi = predict_quantiles(params, s.x)
-        day_bounds.append((lo, hi))
+        band = uq.cqr_predict(params, s.x)
+        day_bounds.append((band.lo, band.hi))
 
     rng = np.random.default_rng(123)
     coverages = []
@@ -434,8 +432,8 @@ def _pipeline_outputs(data_dir, root, tag):
                   "--days", "1,2", "--out", str(maps)]):
         assert cli.main(argv) == 0
     files = {name: (runs / name).read_bytes()
-             for name in ("config.txt", "seed0_best.guqw", "seed0_final.guqw",
-                          "seed0_stats.guqw")}
+             for name in ("config.txt", "seed0_best.guqw", "seed0_stats.guqw",
+                          "seed0_heldout.guqw")}
     files["report"] = report.read_bytes()
     files["ranks"] = ranks.read_bytes()
     files["series"] = series.read_bytes()

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point on a tiny synthetic world."""
 
+import re
 import shutil
 
 import numpy as np
@@ -104,9 +105,9 @@ class TestGen:
 class TestTrain:
     def test_artifacts_exist(self, pipeline):
         _, runs_dir = pipeline
-        for name in ("config.txt", "runs.log", "seed0_best.guqw",
-                     "seed0_final.guqw", "seed0_stats.guqw"):
+        for name in ("config.txt", "runs.log", "seed0_best.guqw", "seed0_stats.guqw"):
             assert (runs_dir / name).exists()
+        assert not (runs_dir / "seed0_final.guqw").exists()  # no stage reads last-epoch weights
 
     def test_seed_failures_exit_nonzero(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
@@ -347,6 +348,19 @@ class TestMalformedRunsDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and deleted[0] in err and "Traceback" not in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("qhat", ["nan", "inf"])
+    @pytest.mark.parametrize("stage", ["eval", "rank", "series"])
+    def test_non_finite_qhat_is_an_error_line(self, runs_copy, tmp_path, capsys, stage, qhat):
+        # the stored raw bands stay valid, so only the qhat check stops a NaN report
+        data_dir, runs_dir = runs_copy
+        log = runs_dir / "runs.log"
+        log.write_text(re.sub(r"qhat=\S+", f"qhat={qhat}", log.read_text()))
+        capsys.readouterr()
+        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"needs a finite qhat, got {qhat}" in err, err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stage", SCORING_STAGES)

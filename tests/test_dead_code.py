@@ -12,9 +12,10 @@ names it in ``getattr``. Dunder methods are Python's to call. The record
 classes in ``RECORDS`` are read field by field through ``dataclasses.fields``,
 so all of their fields count as read.
 
-Parameters: a defaulted parameter of a function or method counts as set
-when some call in the package may pass it a value other than its default;
-one that nothing sets is a constant written as a setting.
+Parameters: a parameter of a function or method, required or defaulted,
+counts as set when some call in the package passes it a variable, or two
+calls pass it two different constants; one that every call gives the same
+constant is a constant written as a setting.
 """
 
 import ast
@@ -30,10 +31,12 @@ ALLOWED = {
     ("export", "read_grid_csv"),
 }
 
-# defaulted parameters that no package call sets, each kept for a reason
+# parameters that every package call gives the same constant, each kept for a reason
 ALLOWED_UNSET = {
     # the loop-oracle and adjoint tests of the stride-2 phase path set it
     "autodiff.conv2d(stride)",
+    # the loop-oracle and adjoint tests of the stride-1 path set it; the U-Net passes 2
+    "autodiff.conv_transpose2d(stride)",
     # the benchmark passes main its arguments; the console script leaves them to sys.argv
     "cli.main(argv)",
     # the benchmark passes it positionally and the acceptance tests leave it out
@@ -158,40 +161,55 @@ def _functions(modules) -> dict[str, list[tuple[str, ast.FunctionDef, bool]]]:
     return found
 
 
-def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, str, str]]:
-    """(position, or None when keyword-only; name; dumped default) of each defaulted
-    parameter. Positions count from the first argument a caller writes."""
+def _parameters(fn: ast.FunctionDef,
+                is_method: bool) -> list[tuple[int | None, str, ast.expr | None]]:
+    """(position, or None when keyword-only; name; default, or None when required) of
+    each parameter a caller can pass. Positions count from the first argument a caller
+    writes."""
     args = fn.args
     positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
     skip = 1 if is_method and positional and positional[0].arg in ("self", "cls") else 0
-    out = [(i - skip, a.arg, ast.dump(d))
-           for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first)]
-    return out + [(None, a.arg, ast.dump(d))
-                  for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    out = [(i - skip, a.arg, d) for i, (a, d) in enumerate(zip(positional, defaults)) if i >= skip]
+    return out + [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
 
 
-def _passes_other_value(call: ast.Call, pos: int | None, param: str, default: str) -> bool:
-    """Whether a call may pass ``param`` a value other than its default; a call with
-    ``*args`` or ``**kwargs`` may pass anything."""
+def _given(call: ast.Call, pos: int | None, param: str, default: ast.expr | None):
+    """The value a call gives ``param``: its argument, or the default where the call
+    leaves it out. None when the call may pass anything (``*args``, ``**kwargs``) or
+    gives a required parameter nothing."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(
             k.arg is None for k in call.keywords):
-        return True
+        return None
     given = [k.value for k in call.keywords if k.arg == param]
     if pos is not None and pos < len(call.args):
         given.append(call.args[pos])
-    return any(ast.dump(v) != default for v in given)
+    return given[0] if given else default
 
 
-def unset_parameters() -> list[str]:
-    """Defaulted parameters that no call in the package passes another value to.
+def _constant(value: ast.expr | None) -> bool:
+    """A literal, or a module constant named in UPPER_CASE (``TAUS``, ``train.UQ_CQR``);
+    None, a value no call names, is not one."""
+    if isinstance(value, (ast.Name, ast.Attribute)):
+        return (value.id if isinstance(value, ast.Name) else value.attr).isupper()
+    try:
+        ast.literal_eval(value)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def constant_parameters(modules: dict[str, ast.Module]) -> list[str]:
+    """Parameters, required or defaulted, that every call in ``modules`` gives the same
+    constant; ``_given`` says what a call gives, ``_constant`` what counts as one. A
+    parameter that some call passes a variable, or two calls two constants, is set.
 
     Calls are matched by the name they call (``f(...)`` or ``obj.f(...)``), so a
     call counts for every function of that name. A function that is named other
     than as the callee of a call (a handler stored in a dict, say) may be called
-    with anything, so its parameters count as set.
+    with anything, so its parameters count as set. A defaulted parameter of a
+    function that nothing calls only ever holds its default.
     """
-    modules = _modules()
     functions = _functions(modules)
     classes = {c.name for tree in modules.values() for c in ast.walk(tree)
                if isinstance(c, ast.ClassDef)}
@@ -210,20 +228,46 @@ def unset_parameters() -> list[str]:
             if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                     and id(node) not in callees and name in functions and name not in classes):
                 escaped.add(name)
-    return sorted({f"{mod}.{name}({param})"
-                   for name, defs in functions.items() if name not in escaped
-                   for mod, fn, is_method in defs
-                   for pos, param, default in _defaulted(fn, is_method)
-                   if not any(_passes_other_value(c, pos, param, default)
-                              for c in calls.get(name, []))})
+    flagged = set()
+    for name, defs in functions.items():
+        if name in escaped:
+            continue
+        for mod, fn, is_method in defs:
+            for pos, param, default in _parameters(fn, is_method):
+                given = [_given(c, pos, param, default) for c in calls.get(name, [])] or [default]
+                if all(map(_constant, given)) and len({ast.dump(v) for v in given}) == 1:
+                    flagged.add(f"{mod}.{name}({param})")
+    return sorted(flagged)
 
 
-def test_every_parameter_default_is_overridden_somewhere():
-    assert [p for p in unset_parameters() if p not in ALLOWED_UNSET] == []
+def test_no_parameter_always_gets_one_constant():
+    assert [p for p in constant_parameters(_modules()) if p not in ALLOWED_UNSET] == []
 
 
 def test_allowed_unset_parameters_are_unset():
-    assert sorted(ALLOWED_UNSET) == [p for p in unset_parameters() if p in ALLOWED_UNSET]
+    assert sorted(ALLOWED_UNSET) == [p for p in constant_parameters(_modules())
+                                     if p in ALLOWED_UNSET]
+
+
+CONSTANT_SNIPPET = """
+TAUS = (0.05, 0.5, 0.95)
+
+def quantile_loss(head_out, y, taus, mask):
+    return head_out
+
+def step(out, yb, maskb, levels):
+    quantile_loss(out, yb, TAUS, maskb)
+    quantile_loss(out[:1], yb[:1], TAUS, mask=maskb[:1])
+"""
+
+
+def test_check_flags_a_required_parameter_that_always_gets_one_name():
+    assert constant_parameters({"m": ast.parse(CONSTANT_SNIPPET)}) == ["m.quantile_loss(taus)"]
+
+
+def test_check_counts_a_parameter_passed_a_variable_as_set():
+    snippet = CONSTANT_SNIPPET + "    quantile_loss(out, yb, levels, maskb)\n"
+    assert constant_parameters({"m": ast.parse(snippet)}) == []
 
 
 def test_records_are_dataclasses():

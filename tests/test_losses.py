@@ -7,6 +7,7 @@ from griduq import autodiff as ad
 from griduq.autodiff import Tensor
 from griduq.errors import ContractError, DimensionError
 from griduq.losses import LOG_2PI, gaussian_nll, pinball, quantile_loss
+from griduq.model import TAUS
 
 from _gradcheck import max_rel_error
 from _oracles import gaussian_nll_loops, pinball_loops
@@ -160,25 +161,24 @@ class TestQuantileLoss:
         y = rng.normal(size=(2, 1, 4, 4)).astype(np.float32)
         mask = rng.uniform(size=y.shape) < 0.6
         mask.reshape(-1)[5] = True
-        taus = (0.05, 0.5, 0.95)
-        total = quantile_loss(Tensor(head), y, taus, mask)
-        want = sum(pinball_loops(y, head[:, i:i + 1], mask, tau) for i, tau in enumerate(taus))
+        total = quantile_loss(Tensor(head), y, mask)
+        want = sum(pinball_loops(y, head[:, i:i + 1], mask, tau) for i, tau in enumerate(TAUS))
         assert abs(total.item() - want) < 1e-5
 
     def test_channel_count_mismatch(self):
         with pytest.raises(DimensionError):
             quantile_loss(Tensor(np.zeros((1, 2, 3, 3))), np.zeros((1, 1, 3, 3), dtype=np.float32),
-                          (0.05, 0.5, 0.95), full_mask((1, 1, 3, 3)))
+                          full_mask((1, 1, 3, 3)))
 
     def test_loss_value_independent_of_unmasked_pixels(self, rng):
         head = rng.normal(size=(1, 3, 4, 4)).astype(np.float32)
         y = rng.normal(size=(1, 1, 4, 4)).astype(np.float32)
         mask = np.zeros_like(y, dtype=bool)
         mask[0, 0, 1, 1] = mask[0, 0, 2, 3] = True
-        base = quantile_loss(Tensor(head), y, (0.05, 0.5, 0.95), mask).item()
+        base = quantile_loss(Tensor(head), y, mask).item()
         y2 = y.copy()
         y2[~mask] = 1e6
-        again = quantile_loss(Tensor(head), y2, (0.05, 0.5, 0.95), mask).item()
+        again = quantile_loss(Tensor(head), y2, mask).item()
         assert base == again
 
     def test_grads_zero_off_mask(self, rng):
@@ -187,7 +187,7 @@ class TestQuantileLoss:
         mask[0, 0, 0, 0] = True
 
         def build(t):
-            return quantile_loss(t["head"], y, (0.05, 0.5, 0.95), mask)
+            return quantile_loss(t["head"], y, mask)
 
         _, grads = grads_of(build, {"head": rng.normal(size=(1, 3, 4, 4)).astype(np.float32)})
         off = np.broadcast_to(~mask, grads["head"].shape)

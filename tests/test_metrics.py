@@ -162,16 +162,14 @@ class TestCoverage:
 
 class TestCrossingRate:
     def test_matches_manual(self, tiny_samples):
-        from griduq.model import predict_quantiles
         samples, _ = tiny_samples
         params = build(ModelConfig(in_channels=28, base_width=4, depth=1,
                                    dropout_rate=0.0, uq_method=UQ_CQR), seed=3)
-        got = quantile_crossing_rate([cqr_predict(params, s.x, 0.0) for s in samples[:4]],
-                                     samples[:4])
+        bands = [cqr_predict(params, s.x) for s in samples[:4]]
+        got = quantile_crossing_rate(bands, samples[:4])
         crossed = total = 0
-        for s in samples[:4]:
-            lo, _, hi = predict_quantiles(params, s.x)
-            crossed += int(np.sum(lo[s.mask] > hi[s.mask]))
+        for band, s in zip(bands, samples[:4]):
+            crossed += int(np.sum(band.lo[s.mask] > band.hi[s.mask]))
             total += int(s.mask.sum())
         assert got == pytest.approx(crossed / total)
         assert 0.0 <= got <= 1.0
@@ -281,7 +279,7 @@ class TestEvaluateRuns:
         from griduq.data import standardize
         _, _, val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)
         val = sorted(val, key=lambda s: s.date)
-        preds = [cqr_predict(params, z.x, rec.qhat)
+        preds = [cqr_predict(params, z.x).widened(rec.qhat)
                  for z in standardize(val, stats)]
         assert report.rmse_per_seed[0] == pytest.approx(
             pooled_rmse([p.mid for p in preds], val), abs=1e-12)
@@ -299,7 +297,8 @@ class TestEvaluateRuns:
             params, stats = load_run_params(runs_dir, rec)
             val = split(samples, TRAIN_FRAC, calib=True, seed=rec.seed)[-1]
             for rates, qhat in ((raw, 0.0), (widened, rec.qhat)):
-                bands = [cqr_predict(params, z.x, qhat) for z in standardize(val, stats)]
+                bands = [cqr_predict(params, z.x).widened(qhat)
+                         for z in standardize(val, stats)]
                 rates.append(np.mean(np.concatenate([(b.lo > b.hi)[s.mask]
                                                      for b, s in zip(bands, val)])))
         report = evaluate_runs(samples, tiny_region, runs_dir)
@@ -401,7 +400,7 @@ def evals_predictions(samples, runs_dir):
             rng = np.random.default_rng([rec.seed, EVAL_RNG_TAG])
             out.append([mc_dropout_predict(params, x, config.t_passes, rng) for x in xs])
         else:
-            out.append([cqr_predict(params, x, rec.qhat) for x in xs])
+            out.append([cqr_predict(params, x).widened(rec.qhat) for x in xs])
     return out
 
 

@@ -9,7 +9,8 @@ from griduq.errors import ContractError, DimensionError
 from griduq.losses import gaussian_nll, quantile_loss
 from griduq.model import (SIGMA2_FLOOR, TAUS, UQ_CQR, UQ_MCD,
                           ModelConfig, UNetParams, build, forward, gaussian_moments,
-                          parameter_names, predict_quantiles)
+                          parameter_names)
+from griduq.uq import cqr_predict
 
 from _oracles import predict_gaussian
 
@@ -179,22 +180,21 @@ class TestHeads:
     def test_predict_quantiles_raw_head_values(self, rng):
         params = build(small_config(uq_method=UQ_CQR), seed=0)
         x = rng.normal(size=(5, 9, 9)).astype(np.float32)
-        levels = predict_quantiles(params, x)
-        assert len(levels) == 3
+        band = cqr_predict(params, x)
         raw = forward(params, Tensor(x[None])).data
-        for i in range(3):
-            assert np.array_equal(levels[i], raw[0, i])
+        for i, level in enumerate((band.lo, band.mid, band.hi)):
+            assert np.array_equal(level, raw[0, i])
 
     def test_head_type_guards(self, rng):
         g = build(small_config(), seed=0)
         x = rng.normal(size=(5, 8, 8)).astype(np.float32)
         with pytest.raises(ContractError):
-            predict_quantiles(g, x)
+            cqr_predict(g, x)
 
     def test_predict_rejects_batched_input(self):
         params = build(small_config(uq_method=UQ_CQR), seed=0)
         with pytest.raises(DimensionError):
-            predict_quantiles(params, np.zeros((1, 5, 8, 8), dtype=np.float32))
+            cqr_predict(params, np.zeros((1, 5, 8, 8), dtype=np.float32))
 
 
 class TestGradientFlow:
@@ -212,7 +212,7 @@ class TestGradientFlow:
                 mu, s2 = gaussian_moments(out)
                 loss = gaussian_nll(mu, s2, y, mask)
             else:
-                loss = quantile_loss(out, y, TAUS, mask)
+                loss = quantile_loss(out, y, mask)
         ad.zero_grads(params.tensors)
         ad.backward(tape, loss)
         for name, t in params.tensors.items():

@@ -73,15 +73,15 @@ class TestTrainConfig:
 class TestClipGradNorm:
     def test_scales_above_threshold(self):
         t = Tensor(np.zeros(2), requires_grad=True)
-        t.grad = np.array([3.0, 4.0], dtype=np.float32)
-        norm = clip_grad_norm({"t": t}, max_norm=1.0)
-        assert norm == pytest.approx(5.0)
-        assert np.allclose(t.grad, [0.6, 0.8], atol=1e-6)
+        t.grad = np.array([6.0, 8.0], dtype=np.float32)
+        norm = clip_grad_norm({"t": t})
+        assert GRAD_CLIP_NORM == 5.0 and norm == pytest.approx(10.0)
+        assert np.allclose(t.grad, [3.0, 4.0], atol=1e-6)
 
     def test_leaves_small_gradients(self):
         t = Tensor(np.zeros(2), requires_grad=True)
         t.grad = np.array([0.3, 0.4], dtype=np.float32)
-        clip_grad_norm({"t": t}, max_norm=GRAD_CLIP_NORM)
+        clip_grad_norm({"t": t})
         assert np.array_equal(t.grad, np.array([0.3, 0.4], dtype=np.float32))
 
     def test_global_norm_spans_tensors(self):
@@ -89,11 +89,11 @@ class TestClipGradNorm:
         b = Tensor(np.zeros(1), requires_grad=True)
         a.grad = np.array([3.0], dtype=np.float32)
         b.grad = np.array([4.0], dtype=np.float32)
-        assert clip_grad_norm({"a": a, "b": b}, 10.0) == pytest.approx(5.0)
+        assert clip_grad_norm({"a": a, "b": b}) == pytest.approx(5.0)
 
     def test_ignores_none_grads(self):
         t = Tensor(np.zeros(2), requires_grad=True)
-        assert clip_grad_norm({"t": t}, 1.0) == 0.0
+        assert clip_grad_norm({"t": t}) == 0.0
 
 
 class TestFit:
@@ -202,7 +202,7 @@ class TestTrainOne:
         assert rec.qhat is None
         assert rec.best_epoch >= 1
         assert rec.wall_time_s > 0
-        for name in (rec.checkpoint, rec.final_checkpoint, rec.stats):
+        for name in (rec.checkpoint, rec.stats):
             assert (tmp_path / name).is_file()
 
     def test_cqr_run_has_finite_qhat(self, tiny_samples, tmp_path):
@@ -272,8 +272,7 @@ class TestTrainAllSeeds:
                                                               monkeypatch, stop):
         samples, _ = tiny_samples
         stale = RunRecord(seed=0, best_val_loss=1.0, best_epoch=9, final_train_loss=1.0,
-                          qhat=99.0, checkpoint="seed0_best.guqw",
-                          final_checkpoint="seed0_final.guqw", stats="seed0_stats.guqw",
+                          qhat=99.0, checkpoint="seed0_best.guqw", stats="seed0_stats.guqw",
                           wall_time_s=1.0)
         (tmp_path / "runs.log").write_text(stale.to_line() + "\n"
                                            + replace(stale, seed=1).to_line() + "\n")
@@ -300,8 +299,8 @@ class TestTrainAllSeeds:
         def fake_train_one(config, samples, seed, out_dir):
             finish.wait(timeout=10)  # every seed finishes at once
             return RunRecord(seed=seed, best_val_loss=float(seed), best_epoch=1,
-                             final_train_loss=0.0, qhat=None, checkpoint="c", final_checkpoint="f",
-                             stats="s", wall_time_s=0.0)
+                             final_train_loss=0.0, qhat=None, checkpoint="c", stats="s",
+                             wall_time_s=0.0)
 
         monkeypatch.setattr("griduq.train.train_one", fake_train_one)
         monkeypatch.setenv("GRIDUQ_THREADS", str(len(seeds)))
@@ -321,15 +320,14 @@ class TestTrainAllSeeds:
 class TestRunRecord:
     def test_line_roundtrip(self):
         rec = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
-                        qhat=2.5, checkpoint="seed3_best.guqw",
-                        final_checkpoint="seed3_final.guqw", stats="seed3_stats.guqw",
+                        qhat=2.5, checkpoint="seed3_best.guqw", stats="seed3_stats.guqw",
                         wall_time_s=12.345)
         again = RunRecord.from_line(rec.to_line())
         assert again == rec
 
     def test_none_qhat_roundtrip(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
-                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        qhat=None, checkpoint="a", stats="c",
                         wall_time_s=0.001)
         assert RunRecord.from_line(rec.to_line()).qhat is None
 
@@ -345,9 +343,10 @@ class TestRunRecord:
          "malformed best_epoch='seven'"),
         (lambda line: line.replace("qhat=2.5", "qhat=wide"), "malformed qhat='wide'")])
     def test_malformed_line_raises(self, edit, why):
+        # a line in the earlier nine-item layout, whose final_checkpoint item is ignored
         line = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
-                         qhat=2.5, checkpoint="a", final_checkpoint="b", stats="c",
-                         wall_time_s=1.0).to_line()
+                         qhat=2.5, checkpoint="a", stats="c",
+                         wall_time_s=1.0).to_line().replace(" stats=", " final_checkpoint=b stats=")
         with pytest.raises(FormatError, match=why):
             RunRecord.from_line(edit(line), "runs/runs.log line 2")
         with pytest.raises(FormatError, match="runs/runs.log line 2"):
@@ -355,21 +354,21 @@ class TestRunRecord:
 
     def test_read_runs_log_names_file_and_line(self, tmp_path):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
-                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        qhat=None, checkpoint="a", stats="c",
                         wall_time_s=0.5)
         (tmp_path / "runs.log").write_text(f"{rec.to_line()}\n\n{rec.to_line()} x\n")
-        with pytest.raises(FormatError, match=r"runs\.log line 3: item 10 is not key=value"):
+        with pytest.raises(FormatError, match=r"runs\.log line 3: item 9 is not key=value"):
             read_runs_log(tmp_path)
 
     def test_unknown_keys_are_ignored(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
-                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        qhat=None, checkpoint="a", stats="c",
                         wall_time_s=0.5)
         assert RunRecord.from_line("note=retrained " + rec.to_line()) == rec
 
     def test_wall_time_keeps_every_digit(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
-                        qhat=None, checkpoint="a", final_checkpoint="b", stats="c",
+                        qhat=None, checkpoint="a", stats="c",
                         wall_time_s=2.6305623830012337)
         assert "wall_time_s=2.6305623830012337" in rec.to_line()
         assert RunRecord.from_line(rec.to_line()).wall_time_s == rec.wall_time_s
@@ -399,8 +398,8 @@ EARLIER_VALUES = (TrainConfig(uq_method="cqr", base_width=8, depth=2, dropout_ra
                               lr=0.003, batch_size=8, alpha=0.1, t_passes=30, seeds=(0, 1)),
                   RunRecord(seed=0, best_val_loss=3.6874157928285145, best_epoch=2,
                             final_train_loss=4.724577580810224, qhat=-0.12483549118041992,
-                            checkpoint="seed0_best.guqw", final_checkpoint="seed0_final.guqw",
-                            stats="seed0_stats.guqw", wall_time_s=1.234))
+                            checkpoint="seed0_best.guqw", stats="seed0_stats.guqw",
+                            wall_time_s=1.234))
 
 
 class TestRunConfigRecord:
@@ -419,7 +418,9 @@ class TestRunConfigRecord:
         write_run_config(tmp_path, EARLIER_VALUES[0], samples)
         assert (tmp_path / CONFIG_NAME).read_text() == EARLIER_CONFIG.format(
             dataset=dataset_fingerprint(samples))
-        assert EARLIER_VALUES[1].to_line() == EARLIER_RUNS_LOG_LINE  # the same key order
+        # the same key order, less the final_checkpoint item that runs.log no longer holds
+        assert EARLIER_VALUES[1].to_line() == EARLIER_RUNS_LOG_LINE.replace(
+            " final_checkpoint=seed0_final.guqw", "")
 
     def test_key_order_and_unknown_keys_do_not_matter(self, tmp_path):
         lines = EARLIER_CONFIG.format(dataset="x").splitlines()

@@ -5,8 +5,9 @@ import pytest
 
 from griduq.data import GridSample, NoiseProfile, generate_synthetic, region_synthetic
 from griduq.errors import CalibrationError, ContractError
-from griduq.metrics import empirical_coverage, pooled_rmse
+from griduq.metrics import empirical_coverage, heldout_predictions, pooled_rmse
 from griduq.model import UQ_CQR, UQ_MCD, ModelConfig, build
+from griduq.train import RunRecord, TrainConfig
 from griduq.uq import (aggregate_mc_passes, cqr_calibrate, cqr_predict,
                        conformal_quantile, conformity_scores, mc_dropout_predict)
 
@@ -177,15 +178,14 @@ def tiny_world():
 
 class TestCqr:
     def test_conformity_scores_match_manual(self, tiny_world):
-        from griduq.model import predict_quantiles
         params, samples = tiny_world
         subset = samples[:3]
         scores = conformity_scores(params, subset, 8)
         manual = []
         for s in subset:
-            lo, _, hi = predict_quantiles(params, s.x)
+            band = cqr_predict(params, s.x)
             y = s.y[s.mask]
-            manual.append(np.maximum(lo[s.mask] - y, y - hi[s.mask]))
+            manual.append(np.maximum(band.lo[s.mask] - y, y - band.hi[s.mask]))
         assert np.allclose(scores, np.concatenate(manual))
 
     @pytest.mark.parametrize("batch_size", [1, 4, 8, 11, 32])
@@ -210,27 +210,31 @@ class TestCqr:
             conformity_scores(params, samples[:2], batch_size=0)
 
     def test_predict_widens_symmetrically(self, tiny_world):
-        from griduq.model import predict_quantiles
         params, samples = tiny_world
-        x = samples[0].x
-        lo, mid, hi = predict_quantiles(params, x)
-        pred = cqr_predict(params, x, qhat=1.25)
-        assert np.allclose(pred.lo, lo - np.float32(1.25))
-        assert np.allclose(pred.hi, hi + np.float32(1.25))
-        assert np.array_equal(pred.mid, mid)
+        raw = cqr_predict(params, samples[0].x)
+        pred = raw.widened(1.25)
+        assert np.allclose(pred.lo, raw.lo - np.float32(1.25))
+        assert np.allclose(pred.hi, raw.hi + np.float32(1.25))
+        assert np.array_equal(pred.mid, raw.mid)
         assert np.allclose(pred.interval_length, pred.hi - pred.lo)
 
     def test_negative_qhat_narrows(self, tiny_world):
         # very easy data can produce a negative correction; bands must shrink
         params, samples = tiny_world
-        wide = cqr_predict(params, samples[0].x, qhat=0.0)
-        narrow = cqr_predict(params, samples[0].x, qhat=-0.5)
+        wide = cqr_predict(params, samples[0].x)
+        narrow = wide.widened(-0.5)
         assert np.all(narrow.interval_length < wide.interval_length)
 
-    def test_qhat_must_be_finite(self, tiny_world):
-        params, samples = tiny_world
-        with pytest.raises(ContractError):
-            cqr_predict(params, samples[0].x, qhat=float("nan"))
+    def test_qhat_must_be_finite(self, tiny_world, tmp_path):
+        # a runs.log qhat reaches the bands through heldout_predictions, which checks it
+        # before it reads any file
+        _, samples = tiny_world
+        config = TrainConfig(UQ_CQR, seeds=(0,))
+        for qhat in (None, float("nan"), float("inf"), float("-inf")):
+            record = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
+                               qhat=qhat, checkpoint="a", stats="c", wall_time_s=0.5)
+            with pytest.raises(ContractError, match=f"needs a finite qhat, got {qhat}"):
+                heldout_predictions(samples, config, tmp_path, record)
 
     def test_head_guard(self, tiny_world):
         _, samples = tiny_world
@@ -247,7 +251,7 @@ class TestCqr:
             calib = [samples[i] for i in order[:40]]
             test = [samples[i] for i in order[40:]]
             qhat = cqr_calibrate(params, calib, alpha=0.1, batch_size=8)
-            preds = [cqr_predict(params, s.x, qhat) for s in test]
+            preds = [cqr_predict(params, s.x).widened(qhat) for s in test]
             coverages.append(empirical_coverage(preds, test))
         avg = float(np.mean(coverages))
         assert 0.88 <= avg <= 0.93, f"mean coverage {avg} outside conformal band"
