@@ -16,7 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +29,8 @@ from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
 # Bump when stored held-out predictions would no longer match a fresh compute
-# (the forward pass, EVAL_RNG_TAG or the stored grids change).
-HELDOUT_VERSION = 1
+# (the forward pass, EVAL_RNG_TAG or the stored grids change) or the key changes.
+HELDOUT_VERSION = 2
 
 
 def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
@@ -70,19 +69,10 @@ def time_mean_over_masked(grids: Sequence[np.ndarray],
     return mean, covered
 
 
-def _uq_grid(pred) -> np.ndarray:
-    """A day's UQ score grid: MCD epistemic variance or CQR interval length."""
-    return pred.epistemic if isinstance(pred, McdPrediction) else pred.interval_length
-
-
-def _point(pred) -> np.ndarray:
-    return pred.mean if isinstance(pred, McdPrediction) else pred.mid
-
-
 def uq_stats(preds: Sequence, masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
     """(max, min, avg) of the per-cell time-mean UQ score: CQR interval length in
     ppb, MCD epistemic variance in ppb^2."""
-    mean, covered = time_mean_over_masked([_uq_grid(p) for p in preds], masks)
+    mean, covered = time_mean_over_masked([p.uq_score for p in preds], masks)
     if not covered.any():
         raise ContractError("statistics need at least one covered cell")
     vals = mean[covered]
@@ -167,13 +157,17 @@ class HeldOut:
     raw: list
 
 
-def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample]) -> np.ndarray:
-    """SHA-256 of every input of a seed's held-out predictions, one byte per float."""
+def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample],
+                 grids: dict[str, np.ndarray]) -> np.ndarray:
+    """SHA-256 of every input of a seed's held-out predictions, then of each stored grid's
+    name, shape and bytes, one byte per float."""
     parts = [f"{HELDOUT_VERSION}|{record.seed}".encode()]
     parts += [read_file(Path(runs_dir) / name)
               for name in (CONFIG_NAME, record.checkpoint, record.stats)]
     for s in days:
         parts += [s.date.isoformat().encode(), np.ascontiguousarray(s.x, dtype="<f4")]
+    for name, g in grids.items():
+        parts += [name.encode(), repr(g.shape).encode(), np.ascontiguousarray(g, dtype="<f4")]
     digest = hashlib.sha256()
     for part in parts:
         digest.update(memoryview(part).nbytes.to_bytes(8, "little"))
@@ -190,8 +184,9 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     prediction type's fields, the MCD mean/epistemic/aleatoric or raw CQR
     lo/mid/hi grids, in ``seed<N>_heldout.guqw``, with a key hashing the
     checkpoint, stats and config.txt bytes, the seed, the held-out dates and
-    raw inputs, and HELDOUT_VERSION. Later calls load the file while the key
-    matches. A failed write costs a RuntimeWarning, not the result.
+    raw inputs and HELDOUT_VERSION, then the stored grids. Later calls load
+    the file while the key matches, so a changed input or a damaged grid is
+    recomputed. A failed write costs a RuntimeWarning, not the result.
     """
     if config.uq_method == UQ_CQR and (record.qhat is None or not math.isfinite(record.qhat)):
         raise ContractError(f"seed {record.seed}: CQR record needs a finite qhat, "
@@ -200,16 +195,13 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
     kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction
     names = [f.name for f in fields(kind)]
     path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
-    key = _heldout_key(runs_dir, record, days)
     try:
         stored = load_checkpoint(path)
     except FormatError:
         stored = {}
-    shape = (len(days), *days[0].y.shape)
-    if (list(stored) == ["key", *names] and np.array_equal(stored["key"].data, key)
-            and all(stored[n].shape == shape for n in names)):
-        grids = {n: stored[n].data for n in names}
-    else:
+    grids = {n: t.data for n, t in stored.items() if n != "key"}
+    if (list(stored) != ["key", *names]
+            or not np.array_equal(stored["key"].data, _heldout_key(runs_dir, record, days, grids))):
         params, stats = load_run_params(runs_dir, record)
         xs = [s.x for s in standardize(days, stats)]
         if config.uq_method == UQ_MCD:
@@ -218,6 +210,7 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
         else:
             fresh = [cqr_predict(params, x) for x in xs]  # the raw band
         grids = {n: np.stack([getattr(p, n) for p in fresh]) for n in names}
+        key = _heldout_key(runs_dir, record, days, grids)
         try:
             save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})
         except OSError as err:
@@ -234,19 +227,9 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     be the one the runs were trained on.
     """
     config, records = _open_runs(samples, runs_dir)
-    rmses = []
-    triples = []
-    coverages = []
-    crossings = []
-    for rec in records:
-        held = heldout_predictions(samples, config, runs_dir, rec)
-        masks = [s.mask for s in held.days]
-        rmses.append(pooled_rmse([_point(p) for p in held.preds], held.days))
-        triples.append(uq_stats(held.preds, masks))
-        if config.uq_method == UQ_CQR:
-            coverages.append(empirical_coverage(held.preds, held.days))
-            crossings.append(quantile_crossing_rate(held.raw, held.days))
-
+    helds = [heldout_predictions(samples, config, runs_dir, rec) for rec in records]
+    rmses = [pooled_rmse([p.point for p in h.preds], h.days) for h in helds]
+    triples = [uq_stats(h.preds, [s.mask for s in h.days]) for h in helds]
     mean, variance, std = _population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
@@ -259,8 +242,9 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     else:
         kwargs.update(interval_max=triple_mean[0], interval_min=triple_mean[1],
                       interval_avg=triple_mean[2],
-                      coverage=float(np.mean(coverages)),
-                      crossing_rate=float(np.mean(crossings)))
+                      coverage=float(np.mean([empirical_coverage(h.preds, h.days) for h in helds])),
+                      crossing_rate=float(np.mean([quantile_crossing_rate(h.raw, h.days)
+                                                   for h in helds])))
     return MetricsReport(**kwargs)
 
 
@@ -307,11 +291,11 @@ def rank_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> list
     for rec in records:
         held = heldout_predictions(samples, config, runs_dir, rec)
         masks = [s.mask for s in held.days]
-        mean, covered = time_mean_over_masked([_uq_grid(p) for p in held.preds], masks)
+        mean, covered = time_mean_over_masked([p.uq_score for p in held.preds], masks)
         seed_means.append(mean)
         seed_covered.append(covered)
         for p, s in zip(held.preds, held.days):
-            sq_errors.append((_point(p).astype(np.float64)
+            sq_errors.append((p.point.astype(np.float64)
                               - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2)
         days_masks += masks
     uq_mean, covered_any = time_mean_over_masked(seed_means, seed_covered)
@@ -321,9 +305,6 @@ def rank_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> list
 
 # ---------------------------------------------------------------------------
 # time series and extrapolation
-
-
-_normal_quantile = NormalDist().inv_cdf  # inverse standard normal CDF
 
 
 @dataclass(frozen=True)
@@ -339,26 +320,19 @@ def series_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
                     lat: float, lon: float) -> tuple[tuple[int, int], list[SeriesRow]]:
     """Observed vs predicted band at one station cell over held-out days.
 
-    Uses the first configured seed. CQR rows carry the conformal band;
-    MCD rows carry the central (1 - alpha) Gaussian band from the total
-    predictive variance.
+    Uses the first configured seed. Each row carries the point prediction
+    and the prediction's (1 - alpha) band (``band``).
     """
     config, records = _open_runs(samples, runs_dir)
     row, col = spec.nearest_cell(lat, lon)
     held = heldout_predictions(samples, config, runs_dir, records[0])
-    z = _normal_quantile(1.0 - config.alpha / 2.0)
     rows = []
     for s, pred in zip(held.days, held.preds):
         if not s.mask[row, col]:
             continue
-        if config.uq_method == UQ_MCD:
-            half = z * math.sqrt(float(pred.total_variance[row, col]))
-            mid = float(pred.mean[row, col])
-            lo, hi = mid - half, mid + half
-        else:
-            mid = float(pred.mid[row, col])
-            lo, hi = float(pred.lo[row, col]), float(pred.hi[row, col])
-        rows.append(SeriesRow(date=s.date, y=float(s.y[row, col]), mid=mid, lo=lo, hi=hi))
+        lo, hi = pred.band(config.alpha)
+        rows.append(SeriesRow(date=s.date, y=float(s.y[row, col]), mid=float(pred.point[row, col]),
+                              lo=float(lo[row, col]), hi=float(hi[row, col])))
     return (row, col), rows
 
 
@@ -378,7 +352,7 @@ def extrapolate_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
         if not 1 <= d <= len(held.days):
             raise ContractError(
                 f"day index {d} out of range, valid indices are 1..{len(held.days)}")
-        grid = _uq_grid(held.preds[d - 1])
+        grid = held.preds[d - 1].uq_score
         if not np.all(np.isfinite(grid)):
             raise ContractError(f"extrapolate: non-finite UQ values on day {d}")
         out.append((d, held.days[d - 1].date, grid))

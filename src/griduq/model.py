@@ -60,15 +60,14 @@ class UNetParams:
     """Named parameter tensors plus the config that shaped them."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
-        expected = set(parameter_names(config))
-        got = set(tensors)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ContractError(
-                f"parameter set does not match config (missing={missing}, unexpected={extra})")
+        expected = _shapes(config)
+        got = {name: tuple(t.shape) for name, t in tensors.items()}
+        if got != expected:
+            diffs = [f"{n} {got.get(n, 'missing')} (config: {expected.get(n, 'none')})"
+                     for n in sorted(expected.keys() | got.keys()) if got.get(n) != expected.get(n)]
+            raise ContractError(f"parameters do not match the config: {', '.join(diffs)}")
         self.config = config
-        self.tensors = {name: tensors[name] for name in parameter_names(config)}
+        self.tensors = {name: tensors[name] for name in expected}
 
     def require_grad(self) -> "UNetParams":
         for t in self.tensors.values():
@@ -76,55 +75,54 @@ class UNetParams:
         return self
 
 
-def parameter_names(config: ModelConfig) -> list[str]:
-    """Checkpoint order: encoder, bottleneck, decoder (deep to shallow), head."""
-    names = []
-    for lvl in range(config.depth):
-        names += [f"enc{lvl}a_w", f"enc{lvl}a_b", f"enc{lvl}b_w", f"enc{lvl}b_b"]
-    names += ["bota_w", "bota_b", "botb_w", "botb_b"]
+def _convs(config: ModelConfig) -> list[tuple[str, int, int, int, int]]:
+    """(name, level, Cin, Cout, k) of every conv in checkpoint order: encoder, bottleneck,
+    decoder (deep to shallow), head. The level is the output grid's; ``up<l>`` is the 2x2
+    stride-2 transposed conv into level l."""
+    rows, cin = [], config.in_channels
+    for lvl in range(config.depth + 1):  # the encoder levels, then the bottleneck
+        name = f"enc{lvl}" if lvl < config.depth else "bot"
+        width = config.base_width * 2 ** lvl
+        rows += [(f"{name}a", lvl, cin, width, 3), (f"{name}b", lvl, width, width, 3)]
+        cin = width
     for lvl in reversed(range(config.depth)):
-        names += [f"up{lvl}_w", f"up{lvl}_b",
-                  f"dec{lvl}a_w", f"dec{lvl}a_b", f"dec{lvl}b_w", f"dec{lvl}b_b"]
-    names += ["head_w", "head_b"]
-    return names
+        width = config.base_width * 2 ** lvl
+        rows += [(f"up{lvl}", lvl, 2 * width, width, 2), (f"dec{lvl}a", lvl, 2 * width, width, 3),
+                 (f"dec{lvl}b", lvl, width, width, 3)]
+    return rows + [("head", 0, config.base_width, config.out_channels, 1)]
+
+
+def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape in checkpoint order; an up-conv weight is (Cin, Cout, k, k)."""
+    shapes = {}
+    for name, _, cin, cout, k in _convs(config):
+        shapes[f"{name}_w"] = (cin, cout, k, k) if name.startswith("up") else (cout, cin, k, k)
+        shapes[f"{name}_b"] = (cout,)
+    return shapes
 
 
 def build(config: ModelConfig, seed: int) -> UNetParams:
     """He-uniform weights (bound sqrt(6/fan_in)), zero biases, seeded PRNG."""
     rng = np.random.default_rng(seed)
+    shapes = _shapes(config)
     tensors: dict[str, Tensor] = {}
-
-    def conv(name: str, cout: int, cin: int, k: int, transposed: bool = False):
+    for name, _, cin, _, k in _convs(config):
         bound = math.sqrt(6.0 / (cin * k * k))
-        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
-        w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        tensors[name + "_w"] = Tensor(w, requires_grad=True)
-        tensors[name + "_b"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
-
-    prev = config.in_channels
-    for lvl in range(config.depth):
-        width = config.base_width * 2 ** lvl
-        conv(f"enc{lvl}a", width, prev, 3)
-        conv(f"enc{lvl}b", width, width, 3)
-        prev = width
-    bottleneck = config.base_width * 2 ** config.depth
-    conv("bota", bottleneck, prev, 3)
-    conv("botb", bottleneck, bottleneck, 3)
-    for lvl in reversed(range(config.depth)):
-        width = config.base_width * 2 ** lvl
-        conv(f"up{lvl}", width, width * 2, 2, transposed=True)
-        conv(f"dec{lvl}a", width, width * 2, 3)
-        conv(f"dec{lvl}b", width, width, 3)
-    conv("head", config.out_channels, config.base_width, 1)
+        w = rng.uniform(-bound, bound, size=shapes[f"{name}_w"]).astype(np.float32)
+        tensors[f"{name}_w"] = Tensor(w, requires_grad=True)
+        tensors[f"{name}_b"] = Tensor(np.zeros(shapes[f"{name}_b"], dtype=np.float32),
+                                      requires_grad=True)
     return UNetParams(config, tensors)
 
 
-def forward(params: UNetParams, x: Tensor, dropout_active: bool = False,
-            rng: np.random.Generator | None = None, passes: int = 1) -> Tensor:
+def forward(params: UNetParams, x: Tensor, rng: np.random.Generator | None = None,
+            passes: int = 1) -> Tensor:
     """Run the network on an (N, C, H, W) batch; output is (passes*N, heads, H, W).
 
-    passes > 1 runs that many dropout passes of the batch in one go, pass-major:
-    the layers before the first dropout site run once at N rows, and that site
+    Dropout is sampled from ``rng`` exactly when a generator is given and the
+    rate is above 0; otherwise every dropout site is the identity. passes > 1
+    runs that many dropout passes of the batch in one go, pass-major: the
+    layers before the first dropout site run once at N rows, and that site
     widens the batch to passes*N. Masks are drawn pass by pass, so rows
     t*N .. t*N + N - 1 are bitwise the t-th of `passes` one-pass forwards run
     in a row on the same generator, which ends in the same state.
@@ -135,20 +133,19 @@ def forward(params: UNetParams, x: Tensor, dropout_active: bool = False,
     if x.shape[1] != cfg.in_channels:
         raise DimensionError(
             f"forward: channel axis C={x.shape[1]} does not match config in_channels={cfg.in_channels}")
-    sampling = dropout_active and cfg.dropout_rate > 0.0
-    if sampling and rng is None:
-        raise ContractError("forward: dropout_active needs a random generator")
+    sampling = rng is not None and cfg.dropout_rate > 0.0
     if passes < 1 or (passes > 1 and not sampling):
-        raise ContractError(f"forward: passes={passes}; more than 1 needs dropout sampling")
+        raise ContractError(f"forward: passes={passes}; more than 1 needs a generator and a "
+                            "dropout rate above 0")
     t = params.tensors
     n, _, h, w = x.shape
     mult = 2 ** cfg.depth
     hp = -(-h // mult) * mult
     wp = -(-w // mult) * mult
     out = ad.pad2d(x, hp, wp) if (hp, wp) != (h, w) else x
-    # dropout sites in forward order: encoder levels, bottleneck, decoder levels
-    levels = [*range(cfg.depth), cfg.depth, *reversed(range(cfg.depth))]
-    sites = [(n, cfg.base_width * 2 ** lvl, hp >> lvl, wp >> lvl) for lvl in levels]
+    # dropout sites in forward order: the output of each double conv's second conv
+    sites = [(n, cout, hp >> lvl, wp >> lvl)
+             for name, lvl, _, cout, _ in _convs(cfg) if name.endswith("b")]
     keeps = ad.dropout_masks(cfg.dropout_rate, rng, sites, passes) if sampling else []
 
     def double_conv(inp: Tensor, name: str) -> Tensor:

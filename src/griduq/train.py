@@ -134,9 +134,11 @@ class RunRecord:
 
 
 def resolve_workers(n_tasks: int, deterministic: bool = False) -> int:
-    """Worker count for seed-level parallelism, capped by GRIDUQ_THREADS."""
+    """Worker count for seed-level parallelism: at most one per task and per CPU this
+    process may run on, capped by GRIDUQ_THREADS."""
     if deterministic or n_tasks <= 1:
         return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cap = os.environ.get(THREADS_ENV)
     if cap is not None:
         try:
@@ -145,8 +147,8 @@ def resolve_workers(n_tasks: int, deterministic: bool = False) -> int:
             raise ContractError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
         if cap_n < 1:
             raise ContractError(f"{THREADS_ENV} must be >= 1, got {cap_n}")
-        return min(n_tasks, cap_n)
-    return min(n_tasks, os.cpu_count() or 1)
+        n_tasks = min(n_tasks, cap_n)
+    return min(n_tasks, cpus or 1)
 
 
 def clip_grad_norm(params: dict[str, Tensor]) -> float:
@@ -171,9 +173,8 @@ def _batch_arrays(samples: Sequence[GridSample]):
     return xb, yb, maskb
 
 
-def _batch_loss(params: UNetParams, xb, yb, maskb, dropout_active: bool,
-                rng: np.random.Generator | None) -> Tensor:
-    out = forward(params, Tensor(xb), dropout_active=dropout_active, rng=rng)
+def _batch_loss(params: UNetParams, xb, yb, maskb, rng: np.random.Generator | None) -> Tensor:
+    out = forward(params, Tensor(xb), rng)
     if params.config.uq_method == UQ_MCD:
         mu, sigma2 = gaussian_moments(out)
         return gaussian_nll(mu, sigma2, yb, maskb)
@@ -193,7 +194,7 @@ def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: 
         n = int(maskb.sum())
         if n == 0:
             continue  # no station pixel: the loss is undefined and would weigh 0
-        loss = _batch_loss(params, xb, yb, maskb, dropout_active=False, rng=None)
+        loss = _batch_loss(params, xb, yb, maskb, rng=None)
         total += loss.item() * n
         count += n
     return total / count
@@ -239,7 +240,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
             xb, yb, maskb = _batch_arrays(chunk)
             tape = ad.Tape()
             with tape:
-                loss = _batch_loss(params, xb, yb, maskb, dropout_active=True, rng=drop_rng)
+                loss = _batch_loss(params, xb, yb, maskb, drop_rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}, batch {bi}")
@@ -339,12 +340,17 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
                 failures.append((seed, f"{type(err).__name__}: {err}"))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {seed: pool.submit(run, seed) for seed in config.seeds}
-            for seed, fut in futures.items():
-                try:
-                    fut.result()
-                except Exception as err:  # noqa: BLE001
-                    failures.append((seed, f"{type(err).__name__}: {err}"))
+            try:
+                futures = {seed: pool.submit(run, seed) for seed in config.seeds}
+                for seed, fut in futures.items():
+                    try:
+                        fut.result()
+                    except Exception as err:  # noqa: BLE001
+                        failures.append((seed, f"{type(err).__name__}: {err}"))
+            except BaseException:
+                # Ctrl-C: seeds already running finish and are logged, queued ones never start
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
 
     ordered = [records[s] for s in config.seeds if s in records]
     aggregate = aggregate_seed_losses([r.best_val_loss for r in ordered])

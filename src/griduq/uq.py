@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,8 @@ from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments
 
 @dataclass(frozen=True)
 class McdPrediction:
-    """MC-dropout output grids for one input; variances in ppb^2."""
+    """MC-dropout output grids for one input; variances in ppb^2. Like CqrPrediction it
+    has a ``point`` prediction, a ``uq_score`` grid and a float64 ``band(alpha)``."""
 
     mean: np.ndarray
     epistemic: np.ndarray
@@ -39,6 +41,19 @@ class McdPrediction:
     @property
     def total_variance(self) -> np.ndarray:
         return self.epistemic + self.aleatoric
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.mean
+
+    @property
+    def uq_score(self) -> np.ndarray:
+        return self.epistemic
+
+    def band(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """mean -/+ z sqrt(total variance): the central (1 - alpha) Gaussian band."""
+        half = NormalDist().inv_cdf(1.0 - alpha / 2.0) * np.sqrt(self.total_variance, dtype=float)
+        return self.mean - half, self.mean + half
 
 
 @dataclass(frozen=True)
@@ -50,8 +65,16 @@ class CqrPrediction:
     hi: np.ndarray
 
     @property
-    def interval_length(self) -> np.ndarray:
+    def point(self) -> np.ndarray:
+        return self.mid
+
+    @property
+    def uq_score(self) -> np.ndarray:
         return self.hi - self.lo
+
+    def band(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """The conformal band; its alpha was fixed when qhat was calibrated."""
+        return self.lo.astype(np.float64), self.hi.astype(np.float64)
 
     def widened(self, qhat: float) -> "CqrPrediction":
         """This raw (qhat 0) band moved out by qhat on both sides; the median stays."""
@@ -91,12 +114,9 @@ def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int,
         raise ContractError("mc_dropout_predict needs a Gaussian-head model")
     if t_passes < 2:
         raise ContractError(f"mc_dropout_predict: t_passes must be >= 2, got {t_passes}")
-    if rng is None and params.config.dropout_rate > 0.0:
-        raise ContractError("mc_dropout_predict: dropout sampling needs a random generator")
     # at rate 0 every pass is the same forward, so one stands for all T
     passes = t_passes if params.config.dropout_rate > 0.0 else 1
-    out = forward(params, Tensor(np.asarray(x)[None]), dropout_active=True, rng=rng,
-                  passes=passes)
+    out = forward(params, Tensor(np.asarray(x)[None]), rng, passes)
     mu, sigma2 = gaussian_moments(out)
     stack = (t_passes, *mu.shape[2:])
     mus = np.broadcast_to(mu.data[:, 0], stack)
@@ -134,7 +154,7 @@ def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         xb = np.stack([s.x for s in chunk]).astype(np.float32, copy=False)
-        bands = forward(params, Tensor(xb), dropout_active=False).data
+        bands = forward(params, Tensor(xb)).data
         for s, band in zip(chunk, bands):
             y = s.y[s.mask]
             pooled.append(np.maximum(band[0][s.mask] - y, y - band[-1][s.mask]).astype(np.float64))
@@ -165,5 +185,5 @@ def cqr_predict(params: UNetParams, x: np.ndarray) -> CqrPrediction:
         raise DimensionError(
             f"cqr_predict: channel axis C={x.shape[0]} does not match config in_channels="
             f"{params.config.in_channels}")
-    lo, mid, hi = forward(params, Tensor(x[None]), dropout_active=False).data[0]
+    lo, mid, hi = forward(params, Tensor(x[None])).data[0]
     return CqrPrediction(lo=lo, mid=mid, hi=hi)

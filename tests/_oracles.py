@@ -257,10 +257,10 @@ def clean_target(params, x):
             + params.tanh_coef * np.tanh(z / params.tanh_scale)).astype(np.float32)
 
 
-def predict_gaussian(params, x, dropout_active=False, rng=None):
+def predict_gaussian(params, x, rng=None):
     """(mu, sigma^2) grids of a Gaussian-head model for one (C, H, W) input: one pass
     at batch 1, the reference that batched MC-dropout passes must equal bitwise."""
     x = np.asarray(x, dtype=np.float32)
     assert params.config.uq_method == UQ_MCD and x.shape[0] == params.config.in_channels
-    mu, sigma2 = gaussian_moments(forward(params, Tensor(x[None]), dropout_active, rng))
+    mu, sigma2 = gaussian_moments(forward(params, Tensor(x[None]), rng))
     return mu.data[0, 0], sigma2.data[0, 0]

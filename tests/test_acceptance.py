@@ -103,7 +103,7 @@ def uq_maps(dense_world, dense_cqr, dense_mcd):
     val_c = data.standardize(val, stats_c)
     val_m = data.standardize(val, stats_m)
     rng = np.random.default_rng(7)
-    int_grids = [uq.cqr_predict(params_c, s.x).widened(rec_c.qhat).interval_length
+    int_grids = [uq.cqr_predict(params_c, s.x).widened(rec_c.qhat).uq_score
                  for s in val_c]
     var_grids = [uq.mc_dropout_predict(params_m, s.x, cfg_m.t_passes, rng).total_variance
                  for s in val_m]

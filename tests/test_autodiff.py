@@ -284,17 +284,11 @@ class TestDropout:
         params = model.build(model.ModelConfig(in_channels=2, base_width=2, depth=1,
                                                dropout_rate=0.5, uq_method=model.UQ_MCD), 0)
         monkeypatch.setattr(ad, "dropout", None)
-        model.forward(params, ad.Tensor(rng.normal(size=(1, 2, 4, 4))), dropout_active=False)
+        model.forward(params, ad.Tensor(rng.normal(size=(1, 2, 4, 4))))
 
     def test_p_zero_is_identity(self, rng):
         x = ad.Tensor(rng.normal(size=(4, 4)).astype(np.float32))
         assert ad.dropout(x, keep_mask(0.0, rng, x.shape)).data.tobytes() == x.data.tobytes()
-
-    def test_active_requires_rng(self):
-        params = model.build(model.ModelConfig(in_channels=1, base_width=2, depth=1,
-                                               dropout_rate=0.5, uq_method=model.UQ_MCD), 0)
-        with pytest.raises(ContractError):
-            model.forward(params, ad.Tensor(np.ones((1, 1, 2, 2))), dropout_active=True)
 
     def test_inverted_scaling_unbiased(self):
         x = ad.Tensor(np.ones(1_000_000, dtype=np.float32))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from griduq import cli, data, metrics, train
-from griduq.autodiff import load_checkpoint
+from griduq.autodiff import Tensor, load_checkpoint, save_checkpoint
 from griduq.errors import FormatError
 from griduq.export import read_grid_csv
 
@@ -324,6 +324,33 @@ class TestMalformedRunsDirectory:
         assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 0
         assert (tmp_path / "report.txt").read_bytes() == (tmp_path / "first.txt").read_bytes()
         assert held.read_bytes() == stored
+
+    def test_damaged_heldout_grid_is_recomputed(self, runs_copy, tmp_path):
+        # the file still loads, but its key no longer matches the grids it stores
+        data_dir, runs_dir = runs_copy
+        held = runs_dir / "seed0_heldout.guqw"
+        stored = held.read_bytes()
+        lo = load_checkpoint(held)["lo"].data
+        config, _ = train.read_run_config(runs_dir)
+        days = config.split_days(data.open_dataset(data_dir)[0], 0)[-1]
+        row, col = np.argwhere(min(days, key=lambda s: s.date).mask)[0]  # scored on day 1
+        at = stored.index(lo.tobytes()) + 4 * (row * lo.shape[2] + col) + 3  # exponent byte
+        held.write_bytes(stored[:at] + bytes([stored[at] ^ 0x20]) + stored[at + 1:])
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 0
+        assert (tmp_path / "report.txt").read_bytes() == (tmp_path / "first.txt").read_bytes()
+        assert held.read_bytes() == stored
+
+    def test_wrong_shape_checkpoint_tensor_is_an_error_line(self, runs_copy, tmp_path, capsys):
+        data_dir, runs_dir = runs_copy
+        best = runs_dir / "seed0_best.guqw"
+        tensors = load_checkpoint(best)
+        tensors["head_b"] = Tensor(np.zeros(2, dtype=np.float32))  # the quantile head has 3
+        save_checkpoint(best, tensors)
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "head_b (2,) (config: (3,))" in err, err
+        assert "Traceback" not in err and not (tmp_path / "report.txt").exists()
 
     def test_damaged_checkpoint_is_an_error_line(self, runs_copy, tmp_path, capsys):
         data_dir, runs_dir = runs_copy

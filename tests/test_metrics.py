@@ -15,8 +15,7 @@ from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore
                             empirical_coverage, evaluate_runs, extrapolate_for_runs,
                             heldout_predictions, pooled_rmse, quantile_crossing_rate,
                             rank_for_runs, rank_stations, series_for_runs,
-                            time_mean_over_masked, uq_stats, _normal_quantile,
-                            _population_stats)
+                            time_mean_over_masked, uq_stats, _population_stats)
 from griduq.model import UQ_CQR, ModelConfig, build
 from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_config,
                           read_runs_log)
@@ -220,10 +219,13 @@ class TestRankStations:
 
 class TestNormalQuantile:
     def test_known_values(self):
-        assert _normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-        assert _normal_quantile(0.95) == pytest.approx(1.644854, abs=1e-5)
-        assert _normal_quantile(0.5) == pytest.approx(0.0, abs=1e-9)
-        assert _normal_quantile(0.025) == pytest.approx(-1.959964, abs=1e-5)
+        # the MCD band of a unit variance about 0 reaches out to the normal quantiles
+        unit = McdPrediction(mean=np.zeros(1, np.float32), epistemic=np.ones(1, np.float32),
+                             aleatoric=np.zeros(1, np.float32))
+        assert unit.band(0.05)[1][0] == pytest.approx(1.959964, abs=1e-5)
+        assert unit.band(0.1)[1][0] == pytest.approx(1.644854, abs=1e-5)
+        assert unit.band(1.0)[1][0] == pytest.approx(0.0, abs=1e-9)
+        assert unit.band(0.05)[0][0] == pytest.approx(-1.959964, abs=1e-5)
 
 
 def test_population_stats():

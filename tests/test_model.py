@@ -8,8 +8,7 @@ from griduq.autodiff import Tensor
 from griduq.errors import ContractError, DimensionError
 from griduq.losses import gaussian_nll, quantile_loss
 from griduq.model import (SIGMA2_FLOOR, TAUS, UQ_CQR, UQ_MCD,
-                          ModelConfig, UNetParams, build, forward, gaussian_moments,
-                          parameter_names)
+                          ModelConfig, UNetParams, build, forward, gaussian_moments)
 from griduq.uq import cqr_predict
 
 from _oracles import predict_gaussian
@@ -41,7 +40,7 @@ class TestConfig:
 
 class TestBuild:
     def test_parameter_names_order(self):
-        names = parameter_names(small_config(depth=2))
+        names = list(build(small_config(depth=2), seed=0).tensors)
         assert names[:4] == ["enc0a_w", "enc0a_b", "enc0b_w", "enc0b_b"]
         assert "bota_w" in names and "botb_b" in names
         assert names.index("up1_w") < names.index("up0_w")  # decoder deep to shallow
@@ -86,6 +85,13 @@ class TestBuild:
         with pytest.raises(ContractError):
             UNetParams(small_config(), broken)
 
+    def test_params_reject_shape_mismatch(self):
+        params = build(small_config(), seed=0)
+        broken = dict(params.tensors)
+        broken["head_b"] = Tensor(np.zeros(3, dtype=np.float32))  # the Gaussian head has 2
+        with pytest.raises(ContractError, match=r"head_b \(3,\) \(config: \(2,\)\)"):
+            UNetParams(small_config(), broken)
+
 
 class TestForward:
     def test_output_shape_odd_grid(self):
@@ -115,18 +121,12 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(params, Tensor(np.zeros((1, 4, 8, 8))))
 
-    def test_dropout_needs_rng(self):
-        params = build(small_config(dropout_rate=0.2), seed=0)
-        x = Tensor(np.zeros((1, 5, 8, 8), dtype=np.float32))
-        with pytest.raises(ContractError):
-            forward(params, x, dropout_active=True)
-
     def test_dropout_stochastic_but_seeded(self, rng):
         params = build(small_config(dropout_rate=0.5), seed=0)
         x = Tensor(rng.normal(size=(1, 5, 8, 8)).astype(np.float32))
-        a = forward(params, x, dropout_active=True, rng=np.random.default_rng(1)).data
-        b = forward(params, x, dropout_active=True, rng=np.random.default_rng(1)).data
-        c = forward(params, x, dropout_active=True, rng=np.random.default_rng(2)).data
+        a = forward(params, x, np.random.default_rng(1)).data
+        b = forward(params, x, np.random.default_rng(1)).data
+        c = forward(params, x, np.random.default_rng(2)).data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -135,8 +135,8 @@ class TestForward:
         params = build(small_config(dropout_rate=0.4), seed=3)
         x = Tensor(rng.normal(size=(2, 5, 11, 13)).astype(np.float32))
         batch_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
-        out = forward(params, x, dropout_active=True, rng=batch_rng, passes=3).data
-        want = np.concatenate([forward(params, x, dropout_active=True, rng=loop_rng).data
+        out = forward(params, x, batch_rng, passes=3).data
+        want = np.concatenate([forward(params, x, loop_rng).data
                                for _ in range(3)])
         assert out.tobytes() == want.tobytes()
         assert batch_rng.random() == loop_rng.random()
@@ -146,11 +146,10 @@ class TestForward:
         with pytest.raises(ContractError):
             forward(build(small_config(), seed=0), x, passes=2)
         with pytest.raises(ContractError):
-            forward(build(small_config(dropout_rate=0.0), seed=0), x, dropout_active=True,
-                    passes=2)
+            forward(build(small_config(dropout_rate=0.0), seed=0), x,
+                    np.random.default_rng(0), passes=2)
         with pytest.raises(ContractError):
-            forward(build(small_config(), seed=0), x, dropout_active=True,
-                    rng=np.random.default_rng(0), passes=0)
+            forward(build(small_config(), seed=0), x, np.random.default_rng(0), passes=0)
 
     def test_deterministic_without_dropout(self, rng):
         params = build(small_config(), seed=0)

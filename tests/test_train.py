@@ -1,6 +1,9 @@
 import datetime
+import os
+import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +306,8 @@ class TestTrainAllSeeds:
                              wall_time_s=0.0)
 
         monkeypatch.setattr("griduq.train.train_one", fake_train_one)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(seeds))),
+                            raising=False)
         monkeypatch.setenv("GRIDUQ_THREADS", str(len(seeds)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -315,6 +320,46 @@ class TestTrainAllSeeds:
                 assert [r.seed for r in read_runs_log(tmp_path)] == list(seeds)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_interrupt_starts_no_queued_seed(self, tiny_samples, tmp_path, monkeypatch):
+        # Ctrl-C while seeds 0 and 1 run on two workers: both finish and are logged, and the
+        # queued seeds 2 and 3 never start
+        samples, _ = tiny_samples
+        entered, both_running, interrupted = [], threading.Event(), threading.Event()
+
+        def fake_train_one(config, samples, seed, out_dir):
+            entered.append(seed)
+            if len(entered) == 2:
+                both_running.set()
+            interrupted.wait(timeout=10)
+            time.sleep(0.2)  # meanwhile the interrupted main thread cancels the queue
+            return RunRecord(seed=seed, best_val_loss=1.0, best_epoch=1, final_train_loss=0.0,
+                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0)
+
+        def on_sigint(signum, frame):
+            if not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        def press_ctrl_c():
+            both_running.wait(timeout=10)
+            # resent until handled: one that lands just before the main thread blocks on a
+            # lock is only seen when that lock is released
+            while not interrupted.wait(timeout=0.05):
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr("griduq.train.train_one", fake_train_one)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("GRIDUQ_THREADS", "2")
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            threading.Thread(target=press_ctrl_c, daemon=True).start()
+            with pytest.raises(KeyboardInterrupt):
+                train_all_seeds(tiny_config("mcd", seeds=(0, 1, 2, 3)), samples, tmp_path)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert sorted(entered) == [0, 1]
+        assert [r.seed for r in read_runs_log(tmp_path)] == [0, 1]
 
 
 class TestRunRecord:
@@ -465,6 +510,7 @@ class TestHelpers:
         assert np.isnan(agg["val_loss_mean"])
 
     def test_resolve_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.delenv("GRIDUQ_THREADS", raising=False)
         assert resolve_workers(1) == 1
         assert resolve_workers(4, deterministic=True) == 1
@@ -477,6 +523,19 @@ class TestHelpers:
         monkeypatch.setenv("GRIDUQ_THREADS", "0")
         with pytest.raises(ContractError):
             resolve_workers(4)
+
+    def test_workers_never_outnumber_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("GRIDUQ_THREADS", raising=False)
+        assert resolve_workers(5) == 1
+        monkeypatch.setenv("GRIDUQ_THREADS", "2")
+        assert resolve_workers(5) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert resolve_workers(5) == 2
+        monkeypatch.delenv("GRIDUQ_THREADS")
+        assert resolve_workers(5) == 3
+        assert resolve_workers(2) == 2
 
     @pytest.mark.parametrize("taus, why", [("0.05,0.5,x", "malformed"),
                                            ("0.1,0.5,0.9", "differ")])

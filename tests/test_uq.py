@@ -1,4 +1,5 @@
 import datetime
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from griduq.errors import CalibrationError, ContractError
 from griduq.metrics import empirical_coverage, heldout_predictions, pooled_rmse
 from griduq.model import UQ_CQR, UQ_MCD, ModelConfig, build
 from griduq.train import RunRecord, TrainConfig
-from griduq.uq import (aggregate_mc_passes, cqr_calibrate, cqr_predict,
-                       conformal_quantile, conformity_scores, mc_dropout_predict)
+from griduq.uq import (CqrPrediction, McdPrediction, aggregate_mc_passes, cqr_calibrate,
+                       cqr_predict, conformal_quantile, conformity_scores, mc_dropout_predict)
 
 
 def gaussian_model(dropout=0.3, seed=0):
@@ -46,6 +47,34 @@ class TestAggregateMcPasses:
             aggregate_mc_passes([], [])
         with pytest.raises(ContractError):
             aggregate_mc_passes([g, g], [g])
+
+
+class TestPredictionInterface:
+    """Both prediction types give a point, a UQ score grid and a float64 (lo, hi) band."""
+
+    def test_mcd_band_is_symmetric_about_point(self, rng):
+        pred = McdPrediction(mean=rng.normal(size=(5, 7)).astype(np.float32) * 40,
+                             epistemic=rng.uniform(0, 2, (5, 7)).astype(np.float32),
+                             aleatoric=rng.uniform(0, 30, (5, 7)).astype(np.float32))
+        assert pred.point is pred.mean and pred.uq_score is pred.epistemic
+        for alpha in (0.05, 0.1, 0.3):
+            lo, hi = pred.band(alpha)
+            assert lo.dtype == hi.dtype == np.float64
+            half = NormalDist().inv_cdf(1 - alpha / 2) * np.sqrt(
+                (pred.epistemic + pred.aleatoric).astype(np.float64))
+            assert np.array_equal(lo, pred.point.astype(np.float64) - half)
+            assert np.array_equal(hi, pred.point.astype(np.float64) + half)
+            assert np.allclose(hi - pred.point, pred.point - lo, rtol=0, atol=1e-12)
+
+    def test_cqr_band_is_its_lo_and_hi(self, rng):
+        lo, mid, hi = np.sort(rng.normal(size=(3, 4, 6)).astype(np.float32), axis=0)
+        pred = CqrPrediction(lo=lo, mid=mid, hi=hi)
+        assert pred.point is pred.mid
+        assert np.array_equal(pred.uq_score, hi - lo)
+        for alpha in (0.05, 0.1):
+            band = pred.band(alpha)
+            assert [b.dtype for b in band] == [np.float64, np.float64]
+            assert np.array_equal(band[0], lo) and np.array_equal(band[1], hi)
 
 
 class TestMcDropoutPredict:
@@ -103,7 +132,7 @@ class TestMcDropoutPredict:
         x = rng.normal(size=(4, *hw)).astype(np.float32)
         batch_rng, loop_rng = [np.random.default_rng(9) if rate else None for _ in range(2)]
         pred = mc_dropout_predict(params, x, t_passes, batch_rng)
-        passes = [predict_gaussian(params, x, dropout_active=True, rng=loop_rng)
+        passes = [predict_gaussian(params, x, loop_rng)
                   for _ in range(t_passes)]
         want = aggregate_mc_passes([mu for mu, _ in passes], [s2 for _, s2 in passes])
         for got, exp in zip((pred.mean, pred.epistemic, pred.aleatoric), want):
@@ -125,8 +154,7 @@ class TestMcDropoutPredict:
             pred = mc_dropout_predict(params, x, t_passes=8,
                                       rng=np.random.default_rng(100 + trial))
             mc.append(pooled_rmse([pred.mean], day))
-            mu, _ = predict_gaussian(params, x, dropout_active=True,
-                                     rng=np.random.default_rng(500 + trial))
+            mu, _ = predict_gaussian(params, x, np.random.default_rng(500 + trial))
             single.append(pooled_rmse([mu], day))
         assert np.mean(mc) <= np.mean(single) + 1e-6
 
@@ -216,14 +244,14 @@ class TestCqr:
         assert np.allclose(pred.lo, raw.lo - np.float32(1.25))
         assert np.allclose(pred.hi, raw.hi + np.float32(1.25))
         assert np.array_equal(pred.mid, raw.mid)
-        assert np.allclose(pred.interval_length, pred.hi - pred.lo)
+        assert np.allclose(pred.uq_score, pred.hi - pred.lo)
 
     def test_negative_qhat_narrows(self, tiny_world):
         # very easy data can produce a negative correction; bands must shrink
         params, samples = tiny_world
         wide = cqr_predict(params, samples[0].x)
         narrow = wide.widened(-0.5)
-        assert np.all(narrow.interval_length < wide.interval_length)
+        assert np.all(narrow.uq_score < wide.uq_score)
 
     def test_qhat_must_be_finite(self, tiny_world, tmp_path):
         # a runs.log qhat reaches the bands through heldout_predictions, which checks it
