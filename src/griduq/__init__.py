@@ -18,7 +18,6 @@ from .metrics import MetricsReport, StationScore, empirical_coverage, evaluate_r
 from .model import (UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
                     gaussian_moments)
 from .train import RunRecord, TrainConfig, fit, train_all_seeds, train_one
-from .uq import (CqrPrediction, McdPrediction, cqr_calibrate, cqr_predict,
-                 conformal_quantile, mc_dropout_predict)
+from .uq import CqrPrediction, McdPrediction, conformal_quantile, cqr_predict, mc_dropout_predict
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ TRAIN_FRAC = 0.9  # the share of days that train (and, for CQR, calibrate); the 
 class RegionSpec:
     """Raster geometry: grid shape plus a top-left geographic anchor in degrees."""
 
-    name: str
+    region: str
     h: int
     w: int
     lat0: float
@@ -77,7 +77,7 @@ class RegionSpec:
         lon_max = self.lon0 + self.w * self.cell_size
         if not (lat_min <= lat <= self.lat0 and self.lon0 <= lon <= lon_max):
             raise ContractError(
-                f"({lat}, {lon}) outside region {self.name}: "
+                f"({lat}, {lon}) outside region {self.region}: "
                 f"lat [{lat_min:.3f}, {self.lat0:.3f}], lon [{self.lon0:.3f}, {lon_max:.3f}]")
         row = min(self.h - 1, max(0, int(round((self.lat0 - lat) / self.cell_size - 0.5))))
         col = min(self.w - 1, max(0, int(round((lon - self.lon0) / self.cell_size - 0.5))))
@@ -139,7 +139,7 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path) -> None:
         raise ContractError("write_dataset: no samples")
     c, h, w = samples[0].x.shape
     if (h, w) != (spec.h, spec.w):
-        raise DimensionError(f"samples are {h}x{w} but region {spec.name} is {spec.h}x{spec.w}")
+        raise DimensionError(f"samples are {h}x{w} but region {spec.region} is {spec.h}x{spec.w}")
     seen = set()
     for s in samples:
         if s.x.shape != (c, h, w):
@@ -155,17 +155,8 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path) -> None:
             raise ContractError(f"{root} holds {len(stale)} day files this dataset would not "
                                 f"overwrite ({stale[0]}, ...); remove them or write elsewhere")
     root.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"region={spec.name}",
-        f"h={spec.h}",
-        f"w={spec.w}",
-        f"lat0={spec.lat0!r}",
-        f"lon0={spec.lon0!r}",
-        f"cell_size={spec.cell_size!r}",
-        f"channels={c}",
-        f"n_days={len(samples)}",
-        f"channel_names={','.join(f'ch{i:02d}' for i in range(c))}",
-    ]
+    lines = [*record_items(spec), f"channels={c}", f"n_days={len(samples)}",
+             f"channel_names={','.join(f'ch{i:02d}' for i in range(c))}"]
     (root / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
     for s in samples:
         target = np.where(s.mask, s.y.astype(np.float32), TARGET_SENTINEL)
@@ -206,6 +197,35 @@ def convert_fields(fields: dict[str, str], where, converters: dict) -> dict:
         except ValueError as err:
             raise FormatError(f"{where}: malformed {key}={fields[key]!r}") from err
     return out
+
+
+# (parse, print) of each record field type, keyed by its annotation; floats print by
+# repr, so they re-parse bit-exactly
+_FIELD_TEXT = {
+    "str": (str, str),
+    "str | None": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "float | None": (lambda v: None if v == "none" else float(v),
+                     lambda v: "none" if v is None else repr(v)),
+    "tuple[int, ...]": (lambda v: tuple(int(s) for s in v.split(",")),
+                        lambda v: ",".join(str(s) for s in v)),
+}
+
+
+def record_items(record) -> list[str]:
+    """``key=value`` for every field of a record dataclass, in field order; a field whose
+    default is None is left out while it is None."""
+    return [f"{f.name}={_FIELD_TEXT[f.type][1](getattr(record, f.name))}" for f in fields(record)
+            if not (f.default is None and getattr(record, f.name) is None)]
+
+
+def record_from(cls, items: dict[str, str], where):
+    """A record dataclass from parsed key=value items. Every field's key is required, but
+    a field whose default is None keeps it when its key is missing."""
+    converters = {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)
+                  if f.default is not None or f.name in items}
+    return cls(**convert_fields(items, where, converters))
 
 
 def read_lines(directory, name: str) -> list[str]:
@@ -274,11 +294,9 @@ def open_dataset(path) -> tuple[list[DayRecord], RegionSpec]:
     """One lazily loaded record per day, sorted by date, and the region geometry;
     reads only the manifest and the day-file names."""
     root = Path(path)
-    mf = convert_fields(read_manifest(root), root / MANIFEST_NAME,
-                        {"region": str, "h": int, "w": int, "lat0": float, "lon0": float,
-                         "cell_size": float, "n_days": int, "channels": int})
-    spec = RegionSpec(mf["region"], mf["h"], mf["w"], mf["lat0"], mf["lon0"], mf["cell_size"])
-    n_days, channels = mf["n_days"], mf["channels"]
+    mf, fp = read_manifest(root), root / MANIFEST_NAME
+    spec = record_from(RegionSpec, mf, fp)
+    n_days, channels = convert_fields(mf, fp, {"n_days": int, "channels": int}).values()
     names = sorted(n for n in os.listdir(root) if n.endswith(".guq"))
     if len(names) != n_days:
         raise FormatError(f"{root}: manifest says {n_days} days but found {len(names)} day files")
@@ -295,6 +313,16 @@ def dataset_fingerprint(samples: list[GridSample]) -> str:
     """Hash of the sorted day dates and the (C, H, W) shape, which the seeded splits assume."""
     days = ",".join(sorted(s.date.isoformat() for s in samples))
     return hashlib.sha256(f"{samples[0].shape}|{days}".encode()).hexdigest()
+
+
+def targets_digest(samples: list[GridSample]) -> str:
+    """SHA-256 of each day's date, station mask and masked targets, in date order."""
+    digest = hashlib.sha256()
+    for s in sorted(samples, key=lambda s: s.date):
+        digest.update(s.date.isoformat().encode())
+        digest.update(s.mask.tobytes())
+        digest.update(np.ascontiguousarray(s.y[s.mask], dtype="<f4").tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, load_checkpoint, read_file, save_checkpoint
-from .data import GridSample, RegionSpec, standardize
+from .data import GridSample, RegionSpec, standardize, targets_digest
 from .errors import ContractError, FormatError
 from .train import (CONFIG_NAME, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, _population_stats,
                     load_run_params, read_run_config, read_runs_log)
@@ -33,19 +33,27 @@ EVAL_RNG_TAG = 11
 HELDOUT_VERSION = 2
 
 
-def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
-    """RMSE over the masked pixels of all days pooled together."""
+def _pooled_mean(what: str, day_values, preds: Sequence, samples: Sequence[GridSample]) -> float:
+    """Mean of ``day_values(pred, sample)``, one day's values at its masked pixels, pooled."""
     if len(preds) != len(samples) or not samples:
-        raise ContractError("pooled_rmse: need matching, nonempty prediction/sample lists")
+        raise ContractError(f"{what}: need matching, nonempty prediction/sample lists")
     total = 0.0
     count = 0
     for pred, s in zip(preds, samples):
-        diff = pred[s.mask].astype(np.float64) - s.y[s.mask].astype(np.float64)
-        total += float(np.sum(diff * diff))
-        count += diff.size
+        values = day_values(pred, s)
+        total += float(np.sum(values, dtype=np.float64))
+        count += values.size
     if count == 0:
-        raise ContractError("pooled_rmse: no masked pixels in any sample")
-    return math.sqrt(total / count)
+        raise ContractError(f"{what}: no masked pixels in any sample")
+    return total / count
+
+
+def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
+    """RMSE over the masked pixels of all days pooled together."""
+    def squared_error(pred, s):
+        diff = pred[s.mask].astype(np.float64) - s.y[s.mask].astype(np.float64)
+        return diff * diff
+    return math.sqrt(_pooled_mean("pooled_rmse", squared_error, preds, samples))
 
 
 def time_mean_over_masked(grids: Sequence[np.ndarray],
@@ -82,17 +90,9 @@ def uq_stats(preds: Sequence, masks: Sequence[np.ndarray]) -> tuple[float, float
 def empirical_coverage(preds: Sequence[CqrPrediction],
                        samples: Sequence[GridSample]) -> float:
     """Fraction of masked pixel-days with lo <= y <= hi."""
-    if len(preds) != len(samples) or not samples:
-        raise ContractError("empirical_coverage: need matching, nonempty lists")
-    hits = 0
-    total = 0
-    for p, s in zip(preds, samples):
-        y = s.y[s.mask]
-        hits += int(np.sum((p.lo[s.mask] <= y) & (y <= p.hi[s.mask])))
-        total += y.size
-    if total == 0:
-        raise ContractError("empirical_coverage: no masked pixels")
-    return hits / total
+    return _pooled_mean("empirical_coverage",
+                        lambda p, s: (p.lo[s.mask] <= s.y[s.mask]) & (s.y[s.mask] <= p.hi[s.mask]),
+                        preds, samples)
 
 
 def quantile_crossing_rate(bands: Sequence[CqrPrediction],
@@ -102,16 +102,8 @@ def quantile_crossing_rate(bands: Sequence[CqrPrediction],
     Takes the raw bands (qhat 0), so it measures the head before conformal
     widening.
     """
-    if len(bands) != len(samples):
-        raise ContractError("quantile_crossing_rate: need matching band/sample lists")
-    crossed = 0
-    total = 0
-    for band, s in zip(bands, samples):
-        crossed += int(np.sum(band.lo[s.mask] > band.hi[s.mask]))
-        total += int(s.mask.sum())
-    if total == 0:
-        raise ContractError("quantile_crossing_rate: no masked pixels")
-    return crossed / total
+    return _pooled_mean("quantile_crossing_rate", lambda b, s: b.lo[s.mask] > b.hi[s.mask],
+                        bands, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +171,23 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
                         record: RunRecord) -> HeldOut:
     """One seed's predictions on its held-out days, computed once per runs directory.
 
-    The first call runs one forward per day (MCD: one generator seeded
-    [seed, EVAL_RNG_TAG] over the days in date order) and stores the
-    prediction type's fields, the MCD mean/epistemic/aleatoric or raw CQR
-    lo/mid/hi grids, in ``seed<N>_heldout.guqw``, with a key hashing the
-    checkpoint, stats and config.txt bytes, the seed, the held-out dates and
-    raw inputs and HELDOUT_VERSION, then the stored grids. Later calls load
-    the file while the key matches, so a changed input or a damaged grid is
-    recomputed. A failed write costs a RuntimeWarning, not the result.
+    Days whose targets_digest is not the record's ``heldout_targets`` are refused
+    first. The first call runs one forward per day (MCD: one generator seeded
+    [seed, EVAL_RNG_TAG] over the days in date order) and stores the prediction
+    type's fields, the MCD mean/epistemic/aleatoric or raw CQR lo/mid/hi grids,
+    in ``seed<N>_heldout.guqw``, with a key hashing the checkpoint, stats and
+    config.txt bytes, the seed, the held-out dates and raw inputs and
+    HELDOUT_VERSION, then the stored grids. Later calls load the file while the
+    key matches, so a changed input or a damaged grid is recomputed. A failed
+    write costs a RuntimeWarning, not the result.
     """
     if config.uq_method == UQ_CQR and (record.qhat is None or not math.isfinite(record.qhat)):
         raise ContractError(f"seed {record.seed}: CQR record needs a finite qhat, "
                             f"got {record.qhat}")
     days = sorted(config.split_days(samples, record.seed)[-1], key=lambda s: s.date)
+    if record.heldout_targets not in (None, targets_digest(days)):
+        raise ContractError(f"seed {record.seed} was trained on another dataset "
+                            "(its held-out targets or station masks differ)")
     kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction
     names = [f.name for f in fields(kind)]
     path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
@@ -233,7 +229,7 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     mean, variance, std = _population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
-        region=spec.name, uq_method=config.uq_method, n_channels=samples[0].shape[0],
+        region=spec.region, uq_method=config.uq_method, n_channels=samples[0].shape[0],
         n_seeds=len(records), rmse_per_seed=tuple(rmses), rmse_mean=mean,
         rmse_variance=variance, rmse_std=std)
     if config.uq_method == UQ_MCD:

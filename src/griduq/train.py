@@ -21,7 +21,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,41 +30,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (TRAIN_FRAC, ChannelStats, GridSample, convert_fields, dataset_fingerprint,
-                   parse_fields, read_lines, split, standardize)
+                   parse_fields, read_lines, record_from, record_items, split, standardize,
+                   targets_digest)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
 from .model import (TAUS, UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
                     gaussian_moments)
-from .uq import cqr_calibrate
+from .uq import conformal_quantile, conformity_scores
 
 GRAD_CLIP_NORM = 5.0
 CONFIG_NAME = "config.txt"
 RUNS_LOG_NAME = "runs.log"
 THREADS_ENV = "GRIDUQ_THREADS"
-
-# (parse, print) of each record field type, keyed by its annotation; floats print by
-# repr, so they re-parse bit-exactly
-_FIELD_TEXT = {
-    "str": (str, str),
-    "int": (int, str),
-    "float": (float, repr),
-    "float | None": (lambda v: None if v == "none" else float(v),
-                     lambda v: "none" if v is None else repr(v)),
-    "tuple[int, ...]": (lambda v: tuple(int(s) for s in v.split(",")),
-                        lambda v: ",".join(str(s) for s in v)),
-}
-
-
-def _record_items(record) -> list[str]:
-    """``key=value`` for every field of a record dataclass, in field order."""
-    return [f"{f.name}={_FIELD_TEXT[f.type][1](getattr(record, f.name))}" for f in fields(record)]
-
-
-def _record_from(cls, items: dict[str, str], where):
-    """A record dataclass from parsed key=value items; every field's key is required."""
-    return cls(**convert_fields(items, where,
-                                {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)}))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -124,13 +101,14 @@ class RunRecord:
     checkpoint: str        # runs-dir relative paths
     stats: str
     wall_time_s: float
+    heldout_targets: str | None = None  # targets_digest of the held-out days; None in older lines
 
     def to_line(self) -> str:
-        return " ".join(_record_items(self))
+        return " ".join(record_items(self))
 
     @classmethod
     def from_line(cls, line: str, where=RUNS_LOG_NAME) -> "RunRecord":
-        return _record_from(cls, parse_fields(line.split(), where, "item"), where)
+        return record_from(cls, parse_fields(line.split(), where, "item"), where)
 
 
 def resolve_workers(n_tasks: int, deterministic: bool = False) -> int:
@@ -295,13 +273,13 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
 
     qhat = None
     if calib_set is not None:
-        qhat = cqr_calibrate(best_params, standardize(calib_set, stats), config.alpha,
-                             config.batch_size)
+        scores = conformity_scores(best_params, standardize(calib_set, stats), config.batch_size)
+        qhat = conformal_quantile(scores, config.alpha)
 
     return RunRecord(seed=seed, best_val_loss=result.best_val_loss,
                      best_epoch=result.best_epoch, final_train_loss=result.final_train_loss,
-                     qhat=qhat, checkpoint=best_name,
-                     stats=stats_name, wall_time_s=wall)
+                     qhat=qhat, checkpoint=best_name, stats=stats_name, wall_time_s=wall,
+                     heldout_targets=targets_digest(val_set))
 
 
 def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
@@ -340,16 +318,20 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
                 failures.append((seed, f"{type(err).__name__}: {err}"))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {}
             try:
-                futures = {seed: pool.submit(run, seed) for seed in config.seeds}
+                for seed in config.seeds:
+                    futures[seed] = pool.submit(run, seed)
                 for seed, fut in futures.items():
                     try:
                         fut.result()
                     except Exception as err:  # noqa: BLE001
                         failures.append((seed, f"{type(err).__name__}: {err}"))
             except BaseException:
-                # Ctrl-C: seeds already running finish and are logged, queued ones never start
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=False, cancel_futures=True)  # Ctrl-C: queued seeds never start
+                running = [seed for seed, fut in futures.items() if not fut.done()]
+                warnings.warn(f"waiting for seeds {running} to finish and be logged; repeated "
+                              "Ctrl-C abandons them without their files", RuntimeWarning)
                 raise
 
     ordered = [records[s] for s in config.seeds if s in records]
@@ -379,7 +361,7 @@ def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
 def write_run_config(out_dir, config: TrainConfig, samples: list[GridSample]) -> None:
     """config.txt: the TrainConfig fields with ``in_channels`` second, then the
     quantile head's levels (TAUS) and the dataset fingerprint."""
-    items = _record_items(config)
+    items = record_items(config)
     items.insert(1, f"in_channels={samples[0].x.shape[0]}")
     items += [f"taus={','.join(repr(t) for t in TAUS)}",
               f"dataset={dataset_fingerprint(samples)}"]
@@ -391,7 +373,7 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
     raise ContractError unless the runs were trained on them (channels, ``dataset=``)."""
     fp = Path(runs_dir) / CONFIG_NAME
     items = parse_fields(read_lines(runs_dir, CONFIG_NAME), fp)
-    config = _record_from(TrainConfig, items, fp)
+    config = record_from(TrainConfig, items, fp)
     in_channels = convert_fields(items, fp, {"in_channels": int})["in_channels"]
     if "taus" in items and convert_fields(
             items, fp, {"taus": lambda v: tuple(float(t) for t in v.split(","))})["taus"] != TAUS:

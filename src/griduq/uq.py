@@ -163,12 +163,6 @@ def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
     return np.concatenate(pooled)
 
 
-def cqr_calibrate(params: UNetParams, calib_set: Sequence[GridSample],
-                  alpha: float, batch_size: int) -> float:
-    """One global qhat from the pooled calibration scores."""
-    return conformal_quantile(conformity_scores(params, calib_set, batch_size), alpha)
-
-
 def cqr_predict(params: UNetParams, x: np.ndarray) -> CqrPrediction:
     """The raw (qhat 0) quantile band for one (C, H, W) input; ``widened`` applies a qhat.
 

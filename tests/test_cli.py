@@ -26,15 +26,25 @@ def _scoring_argv(stage, data_dir, runs_dir, out):
     return [str(a) for a in (stage, "--data", data_dir, "--runs", runs_dir, *extra)]
 
 
+def _gen_argv(out, seed=5):
+    """argv of the pipeline's world: another seed gives the same dates and grid shape, but
+    other targets and station masks."""
+    return ["gen", "--region", "synth", "--height", "16", "--width", "16",
+            "--days", "24", "--channels", "28", "--noise", "homo:2.0",
+            "--density", "0.3", "--seed", str(seed), "--out", str(out)]
+
+
+def _files(out):
+    """Every file under ``out`` by relative path, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Generate a dataset and train one quantile-head seed through the CLI."""
     root = tmp_path_factory.mktemp("cli")
     data_dir, runs_dir = root / "data", root / "runs"
-    rc = cli.main(["gen", "--region", "synth", "--height", "16", "--width", "16",
-                   "--days", "24", "--channels", "28", "--noise", "homo:2.0",
-                   "--density", "0.3", "--seed", "5", "--out", str(data_dir)])
-    assert rc == 0
+    assert cli.main(_gen_argv(data_dir)) == 0
     rc = cli.main(["train", "--data", str(data_dir), "--uq", "cqr",
                    "--epochs", "2", "--lr", "3e-3", "--dropout", "0.1",
                    "--batch", "8", "--seeds", "0", "--alpha", "0.1",
@@ -390,6 +400,38 @@ class TestMalformedRunsDirectory:
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("stage", SCORING_STAGES)
+    def test_wrong_world_is_an_error_line(self, runs_copy, tmp_path, capsys, stage):
+        # the dataset= fingerprint matches, so only the held-out targets tell the worlds apart
+        data_dir, runs_dir = runs_copy
+        other = tmp_path / "other"
+        assert cli.main(_gen_argv(other, seed=6)) == 0
+        held = runs_dir / "seed0_heldout.guqw"
+        before = held.read_bytes(), held.stat().st_mtime_ns
+        capsys.readouterr()
+        assert cli.main(_scoring_argv(stage, other, runs_dir, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 0 was trained on another dataset (its held-out "
+                              "targets or station masks differ)"), err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+        assert (held.read_bytes(), held.stat().st_mtime_ns) == before
+
+    @pytest.mark.parametrize("stage", SCORING_STAGES)
+    def test_runs_log_without_heldout_targets_still_scores(self, runs_copy, tmp_path, stage):
+        # pins kept behaviour: a runs.log line written before heldout_targets existed is
+        # scored as before, and the stored predictions are reused as they are
+        data_dir, runs_dir = runs_copy
+        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "a")) == 0
+        log = runs_dir / "runs.log"
+        log.write_text(re.sub(r" heldout_targets=\S+", "", log.read_text()))
+        assert "heldout_targets" not in log.read_text()
+        held = runs_dir / "seed0_heldout.guqw"
+        before = held.read_bytes(), held.stat().st_mtime_ns
+        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "b")) == 0
+        assert _files(tmp_path / "a") == _files(tmp_path / "b")
+        assert (held.read_bytes(), held.stat().st_mtime_ns) == before
+
+
 @pytest.mark.parametrize("stage", SCORING_STAGES)
 def test_out_into_missing_directory(pipeline, tmp_path, stage):
     data_dir, runs_dir = pipeline
@@ -416,14 +458,10 @@ class TestScoringReadsHeldOutDays:
                                     seed=seed)[-1]}
         return {f"{d.isoformat()}.guq" for d in held}
 
-    @staticmethod
-    def files(out):
-        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-
     def score_all(self, world, runs_dir, out):
         for stage in SCORING_STAGES:
             assert cli.main(_scoring_argv(stage, world, runs_dir, out)) == 0, stage
-        return self.files(out)
+        return _files(out)
 
     @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
     def test_each_stage_reads_only_the_days_it_needs(self, runs, request, tiny_samples, world,
@@ -468,7 +506,7 @@ class TestScoringReadsHeldOutDays:
         argvs = [_scoring_argv(stage, world, runs_dir, tmp_path / "b") for stage in SCORING_STAGES]
         (world / first).write_bytes((world / first).read_bytes()[:-4])
         assert [cli.main(argv) for argv in argvs] == [0] * len(SCORING_STAGES)
-        assert self.files(tmp_path / "b") == before
+        assert _files(tmp_path / "b") == before
 
     @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
     def test_corrupt_heldout_day_fails_every_stage(self, runs, request, tiny_samples, world,

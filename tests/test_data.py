@@ -11,7 +11,7 @@ from griduq import data
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
                          RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
                          region_europe, region_north_america, region_synthetic, split,
-                         standardize, write_dataset)
+                         standardize, targets_digest, write_dataset)
 from griduq.errors import ContractError, DimensionError, FormatError
 
 
@@ -140,13 +140,24 @@ class TestDatasetFormat:
         assert mf["n_days"] == "3"
         assert mf["channel_names"].split(",") == ["ch00", "ch01", "ch02"]
 
+    def test_manifest_bytes_match_earlier_files(self, tmp_path):
+        # the manifest as written before its region lines came from RegionSpec's fields
+        spec = RegionSpec("NorthAmerica", 5, 4, lat0=42.5, lon0=-76.0,
+                          cell_size=0.30000000000000004)
+        write_dataset([make_sample(day(i), seed=i) for i in range(2)], spec, tmp_path / "ds")
+        assert (tmp_path / "ds" / "manifest.txt").read_text() == (
+            "region=NorthAmerica\nh=5\nw=4\nlat0=42.5\nlon0=-76.0\n"
+            "cell_size=0.30000000000000004\nchannels=3\nn_days=2\nchannel_names=ch00,ch01,ch02\n")
+        assert open_dataset(tmp_path / "ds")[1] == spec
+
     @pytest.mark.parametrize("edit, why", [
         (lambda text: text + "garbage\n", "line 10 is not key=value: 'garbage'"),
         (lambda text: text + "=5\n", "line 10 is not key=value: '=5'"),
         (lambda text: text + "h=5\n", "line 10 repeats key 'h'"),
         (lambda text: text.replace("h=5", "h=five"), "malformed h='five'"),
         (lambda text: text.replace("lat0=45.0", "lat0=north"), "malformed lat0='north'"),
-        (lambda text: text.replace("n_days=3\n", ""), "missing key 'n_days'")])
+        (lambda text: text.replace("n_days=3\n", ""), "missing key 'n_days'"),
+        (lambda text: text.replace("cell_size=0.1\n", ""), "missing key 'cell_size'")])
     def test_malformed_manifest(self, tmp_path, edit, why):
         self.write_tiny(tmp_path / "ds")
         mf = tmp_path / "ds" / "manifest.txt"
@@ -291,6 +302,25 @@ class TestSplit:
     def test_bad_frac(self):
         with pytest.raises(ContractError):
             split(self.make(20), train_frac=1.0)
+
+
+class TestTargetsDigest:
+    def test_covers_dates_masks_and_masked_targets_only(self):
+        days = [make_sample(day(i), seed=i) for i in range(3)]
+        digest = targets_digest(days)
+        # day order and inputs (and NaNs off the mask) do not count
+        assert targets_digest(days[::-1]) == digest
+        assert targets_digest([GridSample(s.date, s.x + 1.0, np.where(s.mask, s.y, 7.0), s.mask)
+                               for s in days]) == digest
+        s = days[1]
+        y = s.y.copy()
+        y[0, 0] = np.nextafter(y[0, 0], np.float32(np.inf))  # (0, 0) is always a station
+        mask = s.mask.copy()
+        mask[np.unravel_index(np.argmin(mask), mask.shape)] = True
+        y2 = np.where(mask, np.nan_to_num(s.y), np.nan).astype(np.float32)
+        for changed in (GridSample(s.date, s.x, y, s.mask), GridSample(s.date, s.x, y2, mask),
+                        GridSample(day(9), s.x, s.y, s.mask)):
+            assert targets_digest([days[0], changed, days[2]]) != digest
 
 
 class TestChannelStats:

@@ -11,7 +11,8 @@ import pytest
 
 from griduq import autodiff as ad
 from griduq.autodiff import Tensor
-from griduq.data import GridSample, dataset_fingerprint, split, standardize, ChannelStats
+from griduq.data import (GridSample, RegionSpec, dataset_fingerprint, record_from, split,
+                         standardize, targets_digest, ChannelStats)
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
@@ -214,6 +215,13 @@ class TestTrainOne:
         rec = train_one(config, samples, seed=0, out_dir=tmp_path)
         assert rec.qhat is not None and np.isfinite(rec.qhat)
 
+    def test_record_holds_digest_of_heldout_targets(self, tiny_samples, tmp_path):
+        samples, _ = tiny_samples
+        config = tiny_config("cqr", epochs=1)
+        rec = train_one(config, samples, seed=2, out_dir=tmp_path)
+        assert rec.heldout_targets == targets_digest(config.split_days(samples, 2)[-1])
+        assert rec.heldout_targets != targets_digest(config.split_days(samples, 0)[-1])
+
     def test_repeat_training_is_byte_identical(self, tiny_samples, tmp_path):
         samples, _ = tiny_samples
         config = tiny_config("mcd", epochs=3)
@@ -354,7 +362,10 @@ class TestTrainAllSeeds:
         previous = signal.signal(signal.SIGINT, on_sigint)
         try:
             threading.Thread(target=press_ctrl_c, daemon=True).start()
-            with pytest.raises(KeyboardInterrupt):
+            # the wait is said, with the seeds it waits for
+            with pytest.raises(KeyboardInterrupt), pytest.warns(
+                    RuntimeWarning, match=r"waiting for seeds \[0, 1\] to finish and be logged; "
+                                          "repeated Ctrl-C abandons them without their files"):
                 train_all_seeds(tiny_config("mcd", seeds=(0, 1, 2, 3)), samples, tmp_path)
         finally:
             signal.signal(signal.SIGINT, previous)
@@ -410,6 +421,32 @@ class TestRunRecord:
                         qhat=None, checkpoint="a", stats="c",
                         wall_time_s=0.5)
         assert RunRecord.from_line("note=retrained " + rec.to_line()) == rec
+
+    def test_heldout_targets_roundtrip(self):
+        rec = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
+                        qhat=None, checkpoint="a", stats="c", wall_time_s=1.0,
+                        heldout_targets="0f" * 32)
+        assert rec.to_line().endswith(" heldout_targets=" + "0f" * 32)
+        assert RunRecord.from_line(rec.to_line()) == rec
+
+    def test_line_without_heldout_targets_keeps_earlier_layout(self):
+        # pins kept behaviour: a field whose default is None is left out while it is None, and
+        # a line that lacks it loads with None
+        rec = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
+                        qhat=2.5, checkpoint="a", stats="c", wall_time_s=1.0)
+        line = ("seed=3 best_val_loss=1.25 best_epoch=7 final_train_loss=0.5 qhat=2.5 "
+                "checkpoint=a stats=c wall_time_s=1.0")
+        assert rec.to_line() == line
+        assert RunRecord.from_line(line).heldout_targets is None
+
+    @pytest.mark.parametrize("cls, items, key", [
+        (RegionSpec, "region=t h=5 w=4 lat0=45.0 lon0=-110.0", "cell_size"),
+        (TrainConfig, "uq_method=cqr base_width=8 depth=2 dropout_rate=0.1 lr=0.003 batch_size=8 "
+                      "alpha=0.1 t_passes=30 seeds=0,1", "epochs")])
+    def test_only_fields_defaulting_to_none_may_be_missing(self, cls, items, key):
+        # pins kept behaviour: a default other than None does not make a key optional
+        with pytest.raises(FormatError, match=f"where: missing key '{key}'"):
+            record_from(cls, dict(item.split("=") for item in items.split()), "where")
 
     def test_wall_time_keeps_every_digit(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,

@@ -9,8 +9,8 @@ from griduq.errors import CalibrationError, ContractError
 from griduq.metrics import empirical_coverage, heldout_predictions, pooled_rmse
 from griduq.model import UQ_CQR, UQ_MCD, ModelConfig, build
 from griduq.train import RunRecord, TrainConfig
-from griduq.uq import (CqrPrediction, McdPrediction, aggregate_mc_passes, cqr_calibrate,
-                       cqr_predict, conformal_quantile, conformity_scores, mc_dropout_predict)
+from griduq.uq import (CqrPrediction, McdPrediction, aggregate_mc_passes, cqr_predict,
+                       conformal_quantile, conformity_scores, mc_dropout_predict)
 
 
 def gaussian_model(dropout=0.3, seed=0):
@@ -229,7 +229,7 @@ class TestCqr:
         per_day = np.concatenate([conformity_scores(params, [s], 8) for s in samples])
         assert scores.dtype == np.float64
         assert np.array_equal(scores, per_day)
-        qhat = cqr_calibrate(params, samples, alpha=0.1, batch_size=batch_size)
+        qhat = conformal_quantile(conformity_scores(params, samples, batch_size), alpha=0.1)
         assert qhat == conformal_quantile(per_day, 0.1)
 
     def test_batch_size_must_be_positive(self, tiny_world):
@@ -278,7 +278,7 @@ class TestCqr:
             order = np.random.default_rng(trial).permutation(len(samples))
             calib = [samples[i] for i in order[:40]]
             test = [samples[i] for i in order[40:]]
-            qhat = cqr_calibrate(params, calib, alpha=0.1, batch_size=8)
+            qhat = conformal_quantile(conformity_scores(params, calib, batch_size=8), alpha=0.1)
             preds = [cqr_predict(params, s.x).widened(qhat) for s in test]
             coverages.append(empirical_coverage(preds, test))
         avg = float(np.mean(coverages))
