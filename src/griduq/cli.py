@@ -99,14 +99,14 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in fields(train.TrainConfig)})
     samples, _ = data.read_dataset(args.data)
-    records, aggregate, failures = train.train_all_seeds(
-        config, samples, args.out, deterministic=args.deterministic)
+    records, failures = train.train_all_seeds(config, samples, args.out,
+                                              deterministic=args.deterministic)
     for rec in records:
         print(f"seed {rec.seed}: best_val_loss={rec.best_val_loss:.6g} "
               f"(epoch {rec.best_epoch}), {rec.wall_time_s:.1f}s")
     if records:
-        print(f"val loss mean={aggregate['val_loss_mean']:.6g} "
-              f"variance={aggregate['val_loss_variance']:.6g} over {aggregate['n_seeds']} seeds")
+        mean, variance, _ = train.population_stats([rec.best_val_loss for rec in records])
+        print(f"val loss mean={mean:.6g} variance={variance:.6g} over {len(records)} seeds")
     for seed, msg in failures:
         print(f"seed {seed} FAILED: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except GridUQError as err:
+    except (GridUQError, OSError) as err:  # OSError: an output path the OS refuses
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -410,8 +410,8 @@ class NoiseProfile:
     def __post_init__(self):
         if self.kind not in ("homoscedastic", "heteroscedastic"):
             raise ContractError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ContractError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ContractError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
     def sigma_grid(self, h: int, w: int) -> np.ndarray:
         grid = np.full((h, w), self.sigma, dtype=np.float64)

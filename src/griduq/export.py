@@ -85,10 +85,11 @@ def read_grid_csv(path) -> np.ndarray:
         raise FormatError(f"{path}: missing grid CSV header")
     cells = []
     for ln, line in enumerate(lines[1:], 2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"{path}: line {ln} has {len(parts)} fields, expected 5")
-        cells.append((int(parts[0]), int(parts[1]), np.float32(parts[4])))
+        try:
+            row, col, _, _, value = line.split(",")
+            cells.append((int(row), int(col), np.float32(value)))
+        except ValueError:
+            raise FormatError(f"{path}: line {ln} is not row,col,lat,lon,value: {line!r}") from None
     if not cells:
         raise FormatError(f"{path}: no cells")
     h = max(r for r, _, _ in cells) + 1

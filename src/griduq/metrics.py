@@ -23,8 +23,8 @@ import numpy as np
 from .autodiff import Tensor, load_checkpoint, read_file, save_checkpoint
 from .data import GridSample, RegionSpec, standardize, targets_digest
 from .errors import ContractError, FormatError
-from .train import (CONFIG_NAME, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, _population_stats,
-                    load_run_params, read_run_config, read_runs_log)
+from .train import (CONFIG_NAME, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, load_run_params,
+                    population_stats, read_run_config, read_runs_log)
 from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
@@ -226,7 +226,7 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     helds = [heldout_predictions(samples, config, runs_dir, rec) for rec in records]
     rmses = [pooled_rmse([p.point for p in h.preds], h.days) for h in helds]
     triples = [uq_stats(h.preds, [s.mask for s in h.days]) for h in helds]
-    mean, variance, std = _population_stats(rmses)
+    mean, variance, std = population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
         region=spec.region, uq_method=config.uq_method, n_channels=samples[0].shape[0],

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -187,10 +187,12 @@ class FitResult:
 
 
 def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[GridSample],
-        *, epochs: int, lr: float, batch_size: int, seed: int) -> FitResult:
+        *, epochs: int, lr: float, batch_size: int, seed: int,
+        stop: threading.Event | None = None) -> FitResult:
     """Adam training loop with best-validation snapshotting.
 
-    Aborts with the (epoch, batch) position if a loss goes non-finite.
+    Aborts with the (epoch, batch) position if a loss goes non-finite, and
+    raises KeyboardInterrupt before a batch once ``stop`` is set.
     Epochs and batches are numbered from 1 in records and messages.
     """
     usable = [s for s in train_samples if s.mask.any()]
@@ -214,6 +216,8 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
         epoch_total = 0.0
         epoch_count = 0
         for bi, start in enumerate(range(0, len(usable), batch_size), start=1):
+            if stop is not None and stop.is_set():
+                raise KeyboardInterrupt
             chunk = [usable[i] for i in order[start:start + batch_size]]
             xb, yb, maskb = _batch_arrays(chunk)
             tape = ad.Tape()
@@ -242,7 +246,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
 
 
 def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
-              out_dir) -> RunRecord:
+              out_dir, stop: threading.Event | None = None) -> RunRecord:
     """Train a single seed end to end and write its artifacts into out_dir.
 
     Days are split by ``config.split_days``; CQR runs compute the global
@@ -261,7 +265,7 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
     params = build(model_config, seed)
     started = time.perf_counter()
     result = fit(params, train_set, val_set, epochs=config.epochs, lr=config.lr,
-                 batch_size=config.batch_size, seed=seed)
+                 batch_size=config.batch_size, seed=seed, stop=stop)
     wall = time.perf_counter() - started
 
     best_name = f"seed{seed}_best.guqw"
@@ -286,10 +290,11 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
                     deterministic: bool = False):
     """Train every configured seed, optionally in parallel.
 
-    Returns (records, aggregate, failures). Failed seeds are reported,
-    not raised, so partial results stay on disk; the aggregate covers the
-    seeds that finished. The aggregate is the exact population mean and
-    variance of the best validation losses.
+    Returns (records, failures), both in seed order. Failed seeds are
+    reported, not raised, so partial results stay on disk. Only the calling
+    thread writes runs.log, once per finished seed. On Ctrl-C (or any other
+    BaseException) queued seeds never start, running seeds stop at their next
+    batch without a runs.log line, and the interrupt is re-raised.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,61 +302,50 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     ad.write_atomic(out / RUNS_LOG_NAME, b"")
     write_run_config(out, config, samples)
 
+    stop = threading.Event()
+
+    def attempt(seed: int) -> RunRecord | str:
+        try:
+            return train_one(config, samples, seed, out, stop)
+        except Exception as err:  # noqa: BLE001 - seed isolation is the point
+            return f"{type(err).__name__}: {err}"
+
     workers = resolve_workers(len(config.seeds), deterministic)
     records: dict[int, RunRecord] = {}
-    failures: list[tuple[int, str]] = []
-    lock = threading.Lock()
-
-    def run(seed: int) -> None:
-        record = train_one(config, samples, seed, out)
-        with lock:  # one runs.log rewrite at a time, in seed order
-            records[seed] = record
+    failures: dict[int, str] = {}
+    pool = None
+    try:
+        if workers == 1:
+            # no pool: run in a pool thread, one worker peaked 16% higher in RSS
+            outcomes = ((seed, attempt(seed)) for seed in config.seeds)
+        else:
+            pool = ThreadPoolExecutor(max_workers=workers)
+            futures = {pool.submit(attempt, seed): seed for seed in config.seeds}
+            outcomes = ((futures[fut], fut.result()) for fut in as_completed(futures))
+        for seed, outcome in outcomes:
+            if isinstance(outcome, str):
+                failures[seed] = outcome
+                continue
+            records[seed] = outcome
             finished = [records[s] for s in config.seeds if s in records]
             ad.write_atomic(out / RUNS_LOG_NAME,
                             "".join(rec.to_line() + "\n" for rec in finished).encode())
+    except BaseException:
+        stop.set()  # running seeds stop at their next batch
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # queued seeds never start
 
-    if workers == 1:
-        for seed in config.seeds:
-            try:
-                run(seed)
-            except Exception as err:  # noqa: BLE001 - seed isolation is the point
-                failures.append((seed, f"{type(err).__name__}: {err}"))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            try:
-                for seed in config.seeds:
-                    futures[seed] = pool.submit(run, seed)
-                for seed, fut in futures.items():
-                    try:
-                        fut.result()
-                    except Exception as err:  # noqa: BLE001
-                        failures.append((seed, f"{type(err).__name__}: {err}"))
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)  # Ctrl-C: queued seeds never start
-                running = [seed for seed, fut in futures.items() if not fut.done()]
-                warnings.warn(f"waiting for seeds {running} to finish and be logged; repeated "
-                              "Ctrl-C abandons them without their files", RuntimeWarning)
-                raise
-
-    ordered = [records[s] for s in config.seeds if s in records]
-    aggregate = aggregate_seed_losses([r.best_val_loss for r in ordered])
-    return ordered, aggregate, failures
+    return ([records[s] for s in config.seeds if s in records],
+            [(s, failures[s]) for s in config.seeds if s in failures])
 
 
-def _population_stats(values: Sequence[float]) -> tuple[float, float, float]:
+def population_stats(values: Sequence[float]) -> tuple[float, float, float]:
     """Exact population mean, variance and standard deviation of a nonempty list."""
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     return mean, variance, math.sqrt(variance)
-
-
-def aggregate_seed_losses(values: Sequence[float]) -> dict[str, float]:
-    """Exact population mean/variance of per-seed validation losses."""
-    if not values:
-        return {"n_seeds": 0, "val_loss_mean": float("nan"), "val_loss_variance": float("nan")}
-    mean, variance, _ = _population_stats(values)
-    return {"n_seeds": len(values), "val_loss_mean": mean, "val_loss_variance": variance}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ def _train_tiny(uq, samples, out_dir, seeds):
     config = TrainConfig(uq_method=uq, epochs=3, lr=3e-3, dropout_rate=0.1,
                          batch_size=8, seeds=seeds, alpha=0.1, t_passes=4,
                          base_width=4, depth=1)
-    records, _, failures = train_all_seeds(config, samples, out_dir, deterministic=True)
+    _, failures = train_all_seeds(config, samples, out_dir, deterministic=True)
     assert failures == [], failures
     return out_dir
 

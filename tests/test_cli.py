@@ -103,6 +103,14 @@ class TestGen:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["homo:nan", "hetero:inf"])
+    def test_non_finite_noise_sigma(self, tmp_path, capsys, noise):
+        rc = cli.main(["gen", "--region", "synth", "--days", "5", "--noise", noise,
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: noise sigma must be finite and >= 0")
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("noise", ["homo:abc", "hetero:abc"])
     def test_bad_noise_sigma(self, tmp_path, capsys, noise):
         rc = cli.main(["gen", "--region", "synth", "--days", "5", "--noise", noise,
@@ -157,7 +165,7 @@ class TestTrain:
 
         def record(config, samples, out, deterministic):
             built.append((config, deterministic))
-            return [], {}, []
+            return [], []
 
         monkeypatch.setattr(data, "read_dataset", lambda path: ([], None))
         monkeypatch.setattr(train, "train_all_seeds", record)
@@ -169,7 +177,7 @@ class TestTrain:
         built = []
         monkeypatch.setattr(data, "read_dataset", lambda path: ([], None))
         monkeypatch.setattr(train, "train_all_seeds",
-                            lambda config, *args, **kw: built.append(config) or ([], {}, []))
+                            lambda config, *args, **kw: built.append(config) or ([], []))
         assert cli.main(["train", "--data", "d", "--uq", "cqr", "--epochs", "3", "--lr", "0.5",
                          "--dropout", "0.25", "--batch", "2", "--seeds", "7,8", "--alpha", "0.2",
                          "--base-width", "5", "--depth", "2", "--t-passes", "6",
@@ -438,6 +446,21 @@ def test_out_into_missing_directory(pipeline, tmp_path, stage):
     out = tmp_path / "new" / "dir"
     assert cli.main(_scoring_argv(stage, data_dir, runs_dir, out)) == 0
     assert any(out.iterdir())
+
+
+@pytest.mark.parametrize("stage", ("gen", "train") + SCORING_STAGES)
+def test_out_under_a_regular_file_is_an_error_line(pipeline, tmp_path, capsys, stage):
+    data_dir, runs_dir = pipeline
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {"gen": _gen_argv(afile / "data"),
+            "train": ["train", "--data", str(data_dir), "--uq", "cqr", "--epochs", "1",
+                      "--base-width", "4", "--depth", "1", "--seeds", "0",
+                      "--out", str(afile / "runs")]}.get(stage)
+    capsys.readouterr()
+    assert cli.main(argv or _scoring_argv(stage, data_dir, runs_dir, afile)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 class TestScoringReadsHeldOutDays:

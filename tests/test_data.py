@@ -380,8 +380,9 @@ class TestNoiseProfile:
         assert np.all(flat == 1.5)
 
     def test_negative_sigma(self):
-        with pytest.raises(ContractError):
-            NoiseProfile("homoscedastic", -1.0)
+        for sigma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="finite and >= 0"):
+                NoiseProfile("homoscedastic", sigma)
 
 
 class TestSynthetic:

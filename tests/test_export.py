@@ -103,6 +103,13 @@ class TestGridCsv:
         with pytest.raises(FormatError):
             read_grid_csv(fp)
 
+    @pytest.mark.parametrize("line", ["0,x,1.0,2.0,3.0", "0,0,1.0,2.0,abc", "0.5,0,1.0,2.0,3.0"])
+    def test_read_rejects_malformed_line(self, tmp_path, line):
+        fp = tmp_path / "bad.csv"
+        fp.write_text(f"row,col,lat,lon,value\n{line}\n")
+        with pytest.raises(FormatError, match="line 2"):
+            read_grid_csv(fp)
+
 
 class TestRanksCsv:
     def test_exact_lines(self, tmp_path):

@@ -13,9 +13,9 @@ from griduq.data import GridSample, split, standardize
 from griduq.errors import ContractError
 from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore,
                             empirical_coverage, evaluate_runs, extrapolate_for_runs,
-                            heldout_predictions, pooled_rmse, quantile_crossing_rate,
-                            rank_for_runs, rank_stations, series_for_runs,
-                            time_mean_over_masked, uq_stats, _population_stats)
+                            heldout_predictions, pooled_rmse, population_stats,
+                            quantile_crossing_rate, rank_for_runs, rank_stations,
+                            series_for_runs, time_mean_over_masked, uq_stats)
 from griduq.model import UQ_CQR, ModelConfig, build
 from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_config,
                           read_runs_log)
@@ -229,7 +229,7 @@ class TestNormalQuantile:
 
 
 def test_population_stats():
-    mean, var, std = _population_stats([1.0, 2.0, 4.0])
+    mean, var, std = population_stats([1.0, 2.0, 4.0])
     m = 7.0 / 3.0
     assert mean == pytest.approx(m, abs=1e-15)
     assert var == pytest.approx(((1 - m) ** 2 + (2 - m) ** 2 + (4 - m) ** 2) / 3, abs=1e-15)

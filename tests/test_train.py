@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
 from griduq.train import (CONFIG_NAME, GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
-                          aggregate_seed_losses, clip_grad_norm, fit, load_run_params,
+                          clip_grad_norm, fit, load_run_params,
                           read_run_config, read_runs_log, resolve_workers, train_all_seeds,
                           train_one, write_run_config, _pooled_loss)
 
@@ -158,6 +159,19 @@ class TestFit:
             fit(params, train_set[:3] + [empty], val_set, epochs=1, lr=1e-3,
                 batch_size=8, seed=0)
 
+    def test_set_stop_interrupts_before_the_first_step(self, tiny_samples, monkeypatch):
+        train_set, val_set = prepared(tiny_samples)
+        params = build(tiny_config("mcd").model_config(28), seed=0)
+        before = {k: t.data.copy() for k, t in params.tensors.items()}
+        steps = []
+        monkeypatch.setattr(ad, "adam_step", lambda *args, **kw: steps.append(1))
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(KeyboardInterrupt):
+            fit(params, train_set, val_set, epochs=1, lr=1e-3, batch_size=8, seed=0, stop=stop)
+        assert steps == []
+        assert all(np.array_equal(t.data, before[k]) for k, t in params.tensors.items())
+
     def test_rejects_empty_inputs(self, tiny_samples):
         train_set, val_set = prepared(tiny_samples)
         params = build(tiny_config("mcd").model_config(28), seed=0)
@@ -236,15 +250,9 @@ class TestTrainAllSeeds:
     def test_two_seed_run(self, tiny_samples, tmp_path):
         samples, _ = tiny_samples
         config = tiny_config("mcd", epochs=2, seeds=(0, 1))
-        records, aggregate, failures = train_all_seeds(config, samples, tmp_path)
+        records, failures = train_all_seeds(config, samples, tmp_path)
         assert failures == []
         assert [r.seed for r in records] == [0, 1]
-        assert aggregate["n_seeds"] == 2
-        losses = [r.best_val_loss for r in records]
-        mean = sum(losses) / 2
-        assert aggregate["val_loss_mean"] == pytest.approx(mean, abs=1e-12)
-        want_var = sum((v - mean) ** 2 for v in losses) / 2
-        assert aggregate["val_loss_variance"] == pytest.approx(want_var, abs=1e-12)
 
         logged = read_runs_log(tmp_path)
         assert [r.seed for r in logged] == [0, 1]
@@ -259,9 +267,8 @@ class TestTrainAllSeeds:
     def test_failures_are_isolated(self, tmp_path, tiny_samples):
         samples, _ = tiny_samples
         config = tiny_config("mcd", epochs=1, seeds=(0, 1))
-        records, aggregate, failures = train_all_seeds(config, samples[:9], tmp_path)
+        records, failures = train_all_seeds(config, samples[:9], tmp_path)
         assert records == []
-        assert aggregate["n_seeds"] == 0
         assert len(failures) == 2
         assert all("ContractError" in msg for _, msg in failures)
         assert read_runs_log(tmp_path) == []
@@ -269,8 +276,7 @@ class TestTrainAllSeeds:
     def test_load_run_params_roundtrip(self, tiny_samples, tmp_path):
         samples, _ = tiny_samples
         config = tiny_config("cqr", epochs=2)
-        records, _, failures = train_all_seeds(config, samples, tmp_path,
-                                               deterministic=True)
+        records, failures = train_all_seeds(config, samples, tmp_path, deterministic=True)
         assert failures == []
         params, stats = load_run_params(tmp_path, records[0])
         assert params.config.uq_method == UQ_CQR
@@ -289,10 +295,10 @@ class TestTrainAllSeeds:
                                            + replace(stale, seed=1).to_line() + "\n")
         real_train_one = train_one
 
-        def interrupted(config, samples, seed, out_dir):
+        def interrupted(config, samples, seed, out_dir, stop_event):
             if seed == stop:
                 raise KeyboardInterrupt
-            return real_train_one(config, samples, seed, out_dir)
+            return real_train_one(config, samples, seed, out_dir, stop_event)
 
         monkeypatch.setattr("griduq.train.train_one", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -307,7 +313,7 @@ class TestTrainAllSeeds:
         samples, _ = tiny_samples
         seeds = (7, 3, 5, 0, 1, 2, 4, 6, 9, 8)
 
-        def fake_train_one(config, samples, seed, out_dir):
+        def fake_train_one(config, samples, seed, out_dir, stop):
             finish.wait(timeout=10)  # every seed finishes at once
             return RunRecord(seed=seed, best_val_loss=float(seed), best_epoch=1,
                              final_train_loss=0.0, qhat=None, checkpoint="c", stats="s",
@@ -322,30 +328,32 @@ class TestTrainAllSeeds:
         try:
             for _ in range(5):
                 finish = threading.Barrier(len(seeds))
-                records, _, failures = train_all_seeds(tiny_config("mcd", seeds=seeds), samples,
-                                                       tmp_path)
+                records, failures = train_all_seeds(tiny_config("mcd", seeds=seeds), samples,
+                                                    tmp_path)
                 assert failures == []
                 assert [r.seed for r in read_runs_log(tmp_path)] == list(seeds)
         finally:
             sys.setswitchinterval(interval)
 
     def test_interrupt_starts_no_queued_seed(self, tiny_samples, tmp_path, monkeypatch):
-        # Ctrl-C while seeds 0 and 1 run on two workers: both finish and are logged, and the
-        # queued seeds 2 and 3 never start
+        # Ctrl-C while seeds 0 and 1 run on two workers: both stop at once and are not logged,
+        # and the queued seeds 2 and 3 never start
         samples, _ = tiny_samples
         entered, both_running, interrupted = [], threading.Event(), threading.Event()
+        pressed_at = []
 
-        def fake_train_one(config, samples, seed, out_dir):
+        def fake_train_one(config, samples, seed, out_dir, stop):
             entered.append(seed)
             if len(entered) == 2:
                 both_running.set()
-            interrupted.wait(timeout=10)
-            time.sleep(0.2)  # meanwhile the interrupted main thread cancels the queue
+            if stop.wait(timeout=30):  # fit's check before each batch
+                raise KeyboardInterrupt
             return RunRecord(seed=seed, best_val_loss=1.0, best_epoch=1, final_train_loss=0.0,
                              qhat=None, checkpoint="c", stats="s", wall_time_s=0.0)
 
         def on_sigint(signum, frame):
             if not interrupted.is_set():
+                pressed_at.append(time.monotonic())
                 interrupted.set()
                 raise KeyboardInterrupt
 
@@ -362,15 +370,30 @@ class TestTrainAllSeeds:
         previous = signal.signal(signal.SIGINT, on_sigint)
         try:
             threading.Thread(target=press_ctrl_c, daemon=True).start()
-            # the wait is said, with the seeds it waits for
-            with pytest.raises(KeyboardInterrupt), pytest.warns(
-                    RuntimeWarning, match=r"waiting for seeds \[0, 1\] to finish and be logged; "
-                                          "repeated Ctrl-C abandons them without their files"):
-                train_all_seeds(tiny_config("mcd", seeds=(0, 1, 2, 3)), samples, tmp_path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(KeyboardInterrupt):
+                    train_all_seeds(tiny_config("mcd", seeds=(0, 1, 2, 3)), samples, tmp_path)
+            assert time.monotonic() - pressed_at[0] < 5.0
         finally:
             signal.signal(signal.SIGINT, previous)
         assert sorted(entered) == [0, 1]
-        assert [r.seed for r in read_runs_log(tmp_path)] == [0, 1]
+        assert read_runs_log(tmp_path) == []
+
+    def test_one_worker_trains_in_the_calling_thread(self, tiny_samples, tmp_path, monkeypatch):
+        samples, _ = tiny_samples
+        threads = []
+
+        def fake_train_one(config, samples, seed, out_dir, stop):
+            threads.append(threading.current_thread())
+            return RunRecord(seed=seed, best_val_loss=1.0, best_epoch=1, final_train_loss=0.0,
+                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0)
+
+        monkeypatch.setattr("griduq.train.train_one", fake_train_one)
+        records, failures = train_all_seeds(tiny_config("mcd", seeds=(0, 1)), samples, tmp_path,
+                                            deterministic=True)
+        assert failures == [] and [r.seed for r in records] == [0, 1]
+        assert threads == [threading.main_thread()] * 2
 
 
 class TestRunRecord:
@@ -533,19 +556,6 @@ class TestRunConfigRecord:
 
 
 class TestHelpers:
-    def test_aggregate_closed_form(self):
-        agg = aggregate_seed_losses([1.0, 2.0, 4.0])
-        assert agg["n_seeds"] == 3
-        assert agg["val_loss_mean"] == pytest.approx(7.0 / 3.0, abs=1e-15)
-        mean = 7.0 / 3.0
-        want = ((1 - mean) ** 2 + (2 - mean) ** 2 + (4 - mean) ** 2) / 3.0
-        assert agg["val_loss_variance"] == pytest.approx(want, abs=1e-15)
-
-    def test_aggregate_empty(self):
-        agg = aggregate_seed_losses([])
-        assert agg["n_seeds"] == 0
-        assert np.isnan(agg["val_loss_mean"])
-
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.delenv("GRIDUQ_THREADS", raising=False)
