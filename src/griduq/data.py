@@ -58,6 +58,9 @@ class RegionSpec:
     def __post_init__(self):
         if self.h < 1 or self.w < 1:
             raise ContractError(f"grid shape ({self.h}, {self.w}) must be positive")
+        if not all(map(math.isfinite, (self.lat0, self.lon0, self.cell_size))):
+            raise ContractError(f"lat0={self.lat0}, lon0={self.lon0} and "
+                                f"cell_size={self.cell_size} must be finite")
         if self.cell_size <= 0:
             raise ContractError(f"cell_size must be positive, got {self.cell_size}")
 
@@ -229,8 +232,8 @@ def record_from(cls, items: dict[str, str], where):
 
 
 def read_lines(directory, name: str) -> list[str]:
-    """The lines of a directory's text record file: manifest.txt, config.txt or runs.log.
-    A missing or unreadable file, or bytes that are not UTF-8, are a FormatError."""
+    """The lines of a directory's text file: manifest.txt, config.txt, runs.log or a grid
+    CSV. A missing or unreadable file, or bytes that are not UTF-8, are a FormatError."""
     fp = Path(directory) / name
     if not fp.is_file():
         raise FormatError(f"{directory}: missing {name}")
@@ -393,6 +396,17 @@ def standardize(samples: list[GridSample], stats: ChannelStats) -> list[GridSamp
         x = (s.x - stats.mean[:, None, None]) / stats.std[:, None, None]
         out.append(GridSample(date=s.date, x=x.astype(np.float32), y=s.y, mask=s.mask))
     return out
+
+
+def batches(samples: list[GridSample], batch_size: int):
+    """Consecutive (days, x, y, mask) batches of at most batch_size days in list order:
+    x is (N, C, H, W), y and mask are (N, 1, H, W)."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    for start in range(0, len(samples), batch_size):
+        days = samples[start:start + batch_size]
+        yield (days, np.stack([s.x for s in days]), np.stack([s.y for s in days])[:, None],
+               np.stack([s.mask for s in days])[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import write_atomic
-from .data import RegionSpec
+from .data import RegionSpec, read_lines
 from .errors import ContractError, FormatError
 from .metrics import MetricsReport, SeriesRow, StationScore
 
@@ -80,7 +80,7 @@ def write_grid_csv(grid: np.ndarray, spec: RegionSpec, path) -> None:
 
 def read_grid_csv(path) -> np.ndarray:
     """Rebuild the float32 grid a write_grid_csv call described."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_lines(Path(path).parent, Path(path).name)
     if not lines or lines[0] != "row,col,lat,lon,value":
         raise FormatError(f"{path}: missing grid CSV header")
     cells = []

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import (TRAIN_FRAC, ChannelStats, GridSample, convert_fields, dataset_fingerprint,
-                   parse_fields, read_lines, record_from, record_items, split, standardize,
-                   targets_digest)
+from .data import (TRAIN_FRAC, ChannelStats, GridSample, batches, convert_fields,
+                   dataset_fingerprint, parse_fields, read_lines, record_from, record_items,
+                   split, standardize, targets_digest)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
 from .model import (TAUS, UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
@@ -144,13 +144,6 @@ def clip_grad_norm(params: dict[str, Tensor]) -> float:
     return norm
 
 
-def _batch_arrays(samples: Sequence[GridSample]):
-    xb = np.stack([s.x for s in samples])
-    yb = np.stack([s.y for s in samples])[:, None]
-    maskb = np.stack([s.mask for s in samples])[:, None]
-    return xb, yb, maskb
-
-
 def _batch_loss(params: UNetParams, xb, yb, maskb, rng: np.random.Generator | None) -> Tensor:
     out = forward(params, Tensor(xb), rng)
     if params.config.uq_method == UQ_MCD:
@@ -166,9 +159,7 @@ def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: 
     """
     total = 0.0
     count = 0
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        xb, yb, maskb = _batch_arrays(chunk)
+    for _, xb, yb, maskb in batches(samples, batch_size):
         n = int(maskb.sum())
         if n == 0:
             continue  # no station pixel: the loss is undefined and would weigh 0
@@ -212,14 +203,12 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
     final_train = float("nan")
 
     for epoch in range(1, epochs + 1):
-        order = np.random.default_rng([seed, epoch]).permutation(len(usable))
+        shuffled = [usable[i] for i in np.random.default_rng([seed, epoch]).permutation(len(usable))]
         epoch_total = 0.0
         epoch_count = 0
-        for bi, start in enumerate(range(0, len(usable), batch_size), start=1):
+        for bi, (_, xb, yb, maskb) in enumerate(batches(shuffled, batch_size), start=1):
             if stop is not None and stop.is_set():
                 raise KeyboardInterrupt
-            chunk = [usable[i] for i in order[start:start + batch_size]]
-            xb, yb, maskb = _batch_arrays(chunk)
             tape = ad.Tape()
             with tape:
                 loss = _batch_loss(params, xb, yb, maskb, drop_rng)
@@ -384,9 +373,17 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
 
 
 def read_runs_log(runs_dir) -> list[RunRecord]:
+    """One record per nonblank line; a negative or repeated seed is a FormatError."""
     fp = Path(runs_dir) / RUNS_LOG_NAME
-    return [RunRecord.from_line(line, f"{fp} line {ln}")
-            for ln, line in enumerate(read_lines(runs_dir, RUNS_LOG_NAME), 1) if line.strip()]
+    records: dict[int, RunRecord] = {}
+    for ln, line in enumerate(read_lines(runs_dir, RUNS_LOG_NAME), 1):
+        if line.strip():
+            rec = RunRecord.from_line(line, f"{fp} line {ln}")
+            if rec.seed < 0 or rec.seed in records:
+                raise FormatError(f"{fp} line {ln}: seed={rec.seed} is "
+                                  f"{'negative' if rec.seed < 0 else 'repeated'}")
+            records[rec.seed] = rec
+    return list(records.values())
 
 
 def load_run_params(runs_dir, record: RunRecord) -> tuple[UNetParams, ChannelStats]:

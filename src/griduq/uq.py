@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .data import GridSample
-from .errors import CalibrationError, ContractError, DimensionError
+from .data import GridSample, batches
+from .errors import CalibrationError, ContractError
 from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments
 
 
@@ -114,14 +114,11 @@ def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int,
         raise ContractError("mc_dropout_predict needs a Gaussian-head model")
     if t_passes < 2:
         raise ContractError(f"mc_dropout_predict: t_passes must be >= 2, got {t_passes}")
-    # at rate 0 every pass is the same forward, so one stands for all T
+    # at rate 0 every pass is the same forward, so one stands for all T: the mean of T
+    # equal passes is that pass, bit for bit, and their variance is exactly 0
     passes = t_passes if params.config.dropout_rate > 0.0 else 1
-    out = forward(params, Tensor(np.asarray(x)[None]), rng, passes)
-    mu, sigma2 = gaussian_moments(out)
-    stack = (t_passes, *mu.shape[2:])
-    mus = np.broadcast_to(mu.data[:, 0], stack)
-    sigma2s = np.broadcast_to(sigma2.data[:, 0], stack)
-    mean, epistemic, aleatoric = aggregate_mc_passes(mus, sigma2s)
+    mu, sigma2 = gaussian_moments(forward(params, Tensor(np.asarray(x)[None]), rng, passes))
+    mean, epistemic, aleatoric = aggregate_mc_passes(mu.data[:, 0], sigma2.data[:, 0])
     return McdPrediction(mean=mean, epistemic=epistemic, aleatoric=aleatoric)
 
 
@@ -144,20 +141,17 @@ def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
                       batch_size: int) -> np.ndarray:
     """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every day.
 
-    Days are forwarded batch_size at a time, dropout off, in sample order.
+    Days are forwarded batch_size at a time, dropout off, in sample order; boolean
+    indexing is day-major, so the scores pool in the order of one day at a time.
     """
     if params.config.uq_method != UQ_CQR:
         raise ContractError("conformity_scores needs a quantile-head model")
-    if batch_size < 1:
-        raise ContractError(f"conformity_scores: batch_size must be >= 1, got {batch_size}")
     pooled = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        xb = np.stack([s.x for s in chunk]).astype(np.float32, copy=False)
+    for _, xb, yb, maskb in batches(samples, batch_size):
         bands = forward(params, Tensor(xb)).data
-        for s, band in zip(chunk, bands):
-            y = s.y[s.mask]
-            pooled.append(np.maximum(band[0][s.mask] - y, y - band[-1][s.mask]).astype(np.float64))
+        m = maskb[:, 0]
+        y = yb[:, 0][m]
+        pooled.append(np.maximum(bands[:, 0][m] - y, y - bands[:, -1][m]).astype(np.float64))
     if not pooled:
         raise ContractError("conformity_scores: no calibration samples")
     return np.concatenate(pooled)
@@ -172,12 +166,5 @@ def cqr_predict(params: UNetParams, x: np.ndarray) -> CqrPrediction:
     """
     if params.config.uq_method != UQ_CQR:
         raise ContractError(f"cqr_predict: model is for '{params.config.uq_method}'")
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 3:
-        raise DimensionError(f"cqr_predict: input must be (C, H, W), got shape {x.shape}")
-    if x.shape[0] != params.config.in_channels:
-        raise DimensionError(
-            f"cqr_predict: channel axis C={x.shape[0]} does not match config in_channels="
-            f"{params.config.in_channels}")
-    lo, mid, hi = forward(params, Tensor(x[None])).data[0]
+    lo, mid, hi = forward(params, Tensor(np.asarray(x)[None])).data[0]
     return CqrPrediction(lo=lo, mid=mid, hi=hi)

@@ -319,6 +319,19 @@ class TestMalformedRunsDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and "not UTF-8" in err, err
 
+    def test_non_finite_cell_size_is_an_error_line(self, runs_copy, tmp_path, capsys):
+        # a NaN cell_size would otherwise print NaN station coordinates with exit 0
+        data_dir, runs_dir = runs_copy
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        argv = _scoring_argv("rank", data_dir, runs_dir, tmp_path / "out")
+        mf = data_dir / "manifest.txt"
+        mf.write_text(re.sub(r"cell_size=\S+", "cell_size=nan", mf.read_text()))
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cell_size=nan must be finite" in err, err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_unreadable_day_file_is_an_error_line(self, runs_copy, tmp_path, capsys):
         data_dir, runs_dir = runs_copy
         data_dir = shutil.copytree(data_dir, tmp_path / "data")
@@ -407,6 +420,21 @@ class TestMalformedRunsDirectory:
         assert err.startswith("error: ") and f"needs a finite qhat, got {qhat}" in err, err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("damage, why", [
+        (lambda text: re.sub(r"^seed=0 ", "seed=-1 ", text), "line 1: seed=-1 is negative"),
+        (lambda text: text + text, "line 2: seed=0 is repeated")], ids=["negseed", "dupseed"])
+    @pytest.mark.parametrize("stage", SCORING_STAGES)
+    def test_bad_seed_is_an_error_line(self, runs_copy, tmp_path, capsys, stage, damage, why):
+        # a negative seed cannot seed a generator, and a repeated one would be scored twice
+        data_dir, runs_dir = runs_copy
+        log = runs_dir / "runs.log"
+        log.write_text(damage(log.read_text()))
+        capsys.readouterr()
+        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"runs.log {why}" in err, err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", SCORING_STAGES)
     def test_wrong_world_is_an_error_line(self, runs_copy, tmp_path, capsys, stage):

@@ -9,9 +9,9 @@ import pytest
 from _oracles import clean_target, generate_synthetic_per_day
 from griduq import data
 from griduq.data import (ChannelStats, GeneratorParams, GridSample, NoiseProfile,
-                         RegionSpec, generate_synthetic, open_dataset, read_dataset, read_manifest,
-                         region_europe, region_north_america, region_synthetic, split,
-                         standardize, targets_digest, write_dataset)
+                         RegionSpec, batches, generate_synthetic, open_dataset, read_dataset,
+                         read_manifest, region_europe, region_north_america, region_synthetic,
+                         split, standardize, targets_digest, write_dataset)
 from griduq.errors import ContractError, DimensionError, FormatError
 
 
@@ -66,6 +66,15 @@ class TestRegionSpec:
             RegionSpec("t", 0, 5, 1.0, 1.0)
         with pytest.raises(ContractError):
             RegionSpec("t", 5, 5, 1.0, 1.0, cell_size=0.0)
+
+    @pytest.mark.parametrize("geometry", [
+        dict(lat0=float("nan")), dict(lon0=float("inf")), dict(lat0=float("-inf")),
+        dict(cell_size=float("nan")), dict(cell_size=float("inf")),
+        dict(cell_size=float("-inf"))])
+    def test_non_finite_geometry(self, geometry):
+        # a NaN cell_size passes a "<= 0" test and would print NaN coordinates
+        with pytest.raises(ContractError, match="must be finite"):
+            RegionSpec("t", 5, 5, **{"lat0": 1.0, "lon0": 1.0, **geometry})
 
 
 class TestGridSample:
@@ -355,6 +364,22 @@ class TestChannelStats:
         stats = ChannelStats(mean=np.zeros(2, np.float32), std=np.ones(2, np.float32))
         with pytest.raises(DimensionError):
             standardize([make_sample(day(0), c=3)], stats)
+
+
+class TestBatches:
+    def test_order_shapes_and_short_last_batch(self):
+        samples = [make_sample(day(i), seed=i) for i in (4, 0, 6, 2, 5, 1, 3)]  # not by date
+        got = list(batches(samples, 3))
+        assert [len(days) for days, *_ in got] == [3, 3, 1]
+        assert [s.date for days, *_ in got for s in days] == [s.date for s in samples]
+        for days, x, y, mask in got:
+            n = len(days)
+            assert x.shape == (n, 3, 5, 4) and x.dtype == np.float32
+            assert y.shape == mask.shape == (n, 1, 5, 4) and mask.dtype == np.bool_
+            for i, s in enumerate(days):
+                assert np.array_equal(x[i], s.x)
+                assert np.array_equal(y[i, 0], s.y, equal_nan=True)
+                assert np.array_equal(mask[i, 0], s.mask)
 
 
 class TestNoiseProfile:

@@ -110,6 +110,12 @@ class TestGridCsv:
         with pytest.raises(FormatError, match="line 2"):
             read_grid_csv(fp)
 
+    def test_read_rejects_bytes_that_are_not_utf8(self, tmp_path):
+        fp = tmp_path / "bad.csv"
+        fp.write_bytes(b"row,col,lat,lon,value\n0,0,1.0,2.0,3.0\xff\n")
+        with pytest.raises(FormatError, match=r"bad\.csv: byte 37 is not UTF-8"):
+            read_grid_csv(fp)
+
 
 class TestRanksCsv:
     def test_exact_lines(self, tmp_path):
