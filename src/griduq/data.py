@@ -224,11 +224,14 @@ def record_items(record) -> list[str]:
 
 
 def record_from(cls, items: dict[str, str], where):
-    """A record dataclass from parsed key=value items. Every field's key is required, but
-    a field whose default is None keeps it when its key is missing."""
+    """A record dataclass from parsed key=value items. Every field's key is required, but a
+    field whose default is None may be missing. A value the record refuses names ``where``."""
     converters = {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)
                   if f.default is not None or f.name in items}
-    return cls(**convert_fields(items, where, converters))
+    try:
+        return cls(**convert_fields(items, where, converters))
+    except ContractError as err:
+        raise ContractError(f"{where}: {err}") from None
 
 
 def read_lines(directory, name: str) -> list[str]:

@@ -142,7 +142,8 @@ def forward(params: UNetParams, x: Tensor, rng: np.random.Generator | None = Non
     mult = 2 ** cfg.depth
     hp = -(-h // mult) * mult
     wp = -(-w // mult) * mult
-    out = ad.pad2d(x, hp, wp) if (hp, wp) != (h, w) else x
+    # in: the zero-bordered channels-last buffer every conv reads; out: contiguous NCHW
+    out = ad.pad2d(x, hp, wp)
     # dropout sites in forward order: the output of each double conv's second conv
     sites = [(n, cout, hp >> lvl, wp >> lvl)
              for name, lvl, _, cout, _ in _convs(cfg) if name.endswith("b")]
@@ -163,10 +164,7 @@ def forward(params: UNetParams, x: Tensor, rng: np.random.Generator | None = Non
         out = ad.conv_transpose2d(out, t[f"up{lvl}_w"], t[f"up{lvl}_b"], stride=2)
         out = ad.concat_channels(skips[lvl], out)
         out = double_conv(out, f"dec{lvl}")
-    out = ad.conv2d(out, t["head_w"], t["head_b"])
-    if (hp, wp) != (h, w):
-        out = ad.crop2d(out, h, w)
-    return out
+    return ad.crop2d(ad.conv2d(out, t["head_w"], t["head_b"]), h, w)
 
 
 def gaussian_moments(head_out: Tensor) -> tuple[Tensor, Tensor]:

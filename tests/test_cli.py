@@ -332,6 +332,21 @@ class TestMalformedRunsDirectory:
         assert err.startswith("error: ") and "cell_size=nan must be finite" in err, err
         assert "Traceback" not in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, key, value", [("manifest.txt", "cell_size", "nan"),
+                                                  ("manifest.txt", "h", "0"),
+                                                  ("config.txt", "epochs", "0")])
+    def test_refused_record_value_names_its_file(self, runs_copy, tmp_path, capsys, name, key, value):
+        # the value parses, and the record's own checks refuse it: the error line names the file
+        data_dir, runs_dir = runs_copy
+        data_dir = shutil.copytree(data_dir, tmp_path / "data")
+        fp = (data_dir if name == "manifest.txt" else runs_dir) / name
+        fp.write_text(re.sub(rf"^{key}=\S+$", f"{key}={value}", fp.read_text(), flags=re.M))
+        capsys.readouterr()
+        assert self.eval_rc(data_dir, runs_dir, tmp_path / "report.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fp}: "), err
+        assert "Traceback" not in err and not (tmp_path / "report.txt").exists()
+
     def test_unreadable_day_file_is_an_error_line(self, runs_copy, tmp_path, capsys):
         data_dir, runs_dir = runs_copy
         data_dir = shutil.copytree(data_dir, tmp_path / "data")

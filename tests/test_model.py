@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from griduq.model import (SIGMA2_FLOOR, TAUS, UQ_CQR, UQ_MCD,
                           ModelConfig, UNetParams, build, forward, gaussian_moments)
 from griduq.uq import cqr_predict
 
-from _oracles import predict_gaussian
+from _gradcheck import gradcheck, lattice_values, max_rel_error
+from _oracles import conv2d_loops, conv_transpose2d_loops, maxpool2d_loops, predict_gaussian
 
 
 def small_config(**kw):
@@ -240,3 +243,90 @@ class TestGradientFlow:
             last = step()
         assert first > 0  # fresh net starts well above a fitted NLL on this data
         assert last < 0.7 * first
+
+
+def forward_loops(params, x, rng):
+    """model.forward rebuilt from the float64 loop kernels, one layer after another, with
+    the dropout sites' keep masks drawn from rng in forward order."""
+    cfg, t = params.config, {k: v.data for k, v in params.tensors.items()}
+    h, w = x.shape[2:]
+    mult = 2 ** cfg.depth
+    out = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (0, -h % mult), (0, -w % mult)))
+
+    def double_conv(a, name):
+        for ab in "ab":
+            a = np.maximum(conv2d_loops(a, t[f"{name}{ab}_w"], t[f"{name}{ab}_b"], padding=1), 0)
+        keep = rng.random(a.shape) >= cfg.dropout_rate
+        return a * keep / (1.0 - cfg.dropout_rate)
+
+    skips = []
+    for lvl in range(cfg.depth):
+        out = double_conv(out, f"enc{lvl}")
+        skips.append(out)
+        out = maxpool2d_loops(out)[0]
+    out = double_conv(out, "bot")
+    for lvl in reversed(range(cfg.depth)):
+        up = conv_transpose2d_loops(out, t[f"up{lvl}_w"], t[f"up{lvl}_b"], stride=2)
+        out = double_conv(np.concatenate([skips[lvl], up], axis=1), f"dec{lvl}")
+    return conv2d_loops(out, t["head_w"], t["head_b"])[:, :, :h, :w]
+
+
+class TestWholeNetwork:
+    """Every layer of a depth-2 net on an odd grid, which the per-op oracles do not chain:
+    zero borders, wrap rows and the pad and crop meet across layers."""
+
+    def test_forward_matches_loop_kernels(self, rng):
+        params = build(small_config(in_channels=3, base_width=3, uq_method=UQ_CQR), seed=1)
+        x = rng.normal(size=(3, 3, 7, 9)).astype(np.float32)  # padded to 8x12 inside
+        got = forward(params, Tensor(x), np.random.default_rng(4)).data
+        want = forward_loops(params, x, np.random.default_rng(4))
+        assert got.shape == want.shape == (3, 3, 7, 9)
+        assert max_rel_error(got.astype(np.float64), want) < 1e-5
+
+    def test_parameter_gradients_match_finite_differences(self, rng):
+        # positive inputs, weights and biases keep every relu input >= 0.1, off its kink, so
+        # the output is linear in each parameter and eps can be large against float32 noise
+        config = small_config(in_channels=2, base_width=1, uq_method=UQ_CQR)
+        x = Tensor(lattice_values(rng, (3, 2, 7, 9), 0.5, 1.5))
+        arrays = {k: np.abs(v.data) / 2 if k.endswith("_w") else np.full(v.shape, 0.1, np.float32)
+                  for k, v in build(config, seed=2).tensors.items()}
+        # a fresh generator per evaluation: the same keep masks every time
+        worst = gradcheck(lambda t: forward(UNetParams(config, t), x, np.random.default_rng(5)),
+                          arrays, eps=1e-2)
+        assert worst < 1e-2
+
+    def test_threads_match_one_after_another(self):
+        # no buffer may be shared between concurrent forward and backward passes: three
+        # threads on two cores, switching often, give each run the bits it gets alone
+        def job(seed):
+            rng = np.random.default_rng(seed)
+            params = build(small_config(base_width=4), seed=seed).require_grad()
+            x = Tensor(rng.normal(size=(2, 5, 14, 22)).astype(np.float32))
+            barrier.wait(timeout=60)  # the threads start their forward and backward together
+            tape = ad.Tape()
+            with tape:
+                out = forward(params, x, rng)
+                loss = ad.mean_masked(out, np.ones(out.shape, dtype=bool))
+            ad.zero_grads(params.tensors)
+            ad.backward(tape, loss)
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in params.tensors.values()]
+
+        seeds = (0, 1, 2)
+        barrier = threading.Barrier(1)
+        serial = [job(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):  # a race need not show in every round
+                barrier = threading.Barrier(len(seeds))
+                results = [None] * len(seeds)
+                threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, job(seeds[i])))
+                           for i in range(len(seeds))]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+                assert not any(th.is_alive() for th in threads)
+                assert results == serial
+        finally:
+            sys.setswitchinterval(interval)
