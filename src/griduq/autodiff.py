@@ -583,8 +583,10 @@ CHECKPOINT_VERSION = 1
 
 
 def write_atomic(path, payload: bytes) -> None:
-    """Write a file through a temp file renamed into place, so it is never seen half-written."""
+    """Write a file, and its missing directories, through a temp file renamed into place,
+    so it is never seen half-written."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(payload)

@@ -115,7 +115,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     samples, spec = data.open_dataset(args.data)
     report = metrics.evaluate_runs(samples, spec, args.runs)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_report(report, args.out)
     print(f"wrote report to {args.out} (rmse_mean={report.rmse_mean:.6g})")
     return 0
@@ -126,7 +125,6 @@ def _cmd_rank(args) -> int:
         raise GridUQError("--top must be >= 1")
     samples, spec = data.open_dataset(args.data)
     rows = metrics.rank_for_runs(samples, spec, args.runs)[:args.top]
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_ranks_csv(rows, args.out)
     print(f"wrote top {len(rows)} stations to {args.out}")
     return 0
@@ -135,7 +133,6 @@ def _cmd_rank(args) -> int:
 def _cmd_series(args) -> int:
     samples, spec = data.open_dataset(args.data)
     (row, col), rows = metrics.series_for_runs(samples, spec, args.runs, args.lat, args.lon)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     export.write_series_csv(rows, args.out)
     print(f"wrote {len(rows)} rows for cell ({row}, {col}) to {args.out}")
     return 0
@@ -143,11 +140,9 @@ def _cmd_series(args) -> int:
 
 def _cmd_extrapolate(args) -> int:
     samples, spec = data.open_dataset(args.data)
-    maps = metrics.extrapolate_for_runs(samples, spec, args.runs, args.days)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    maps = metrics.extrapolate_for_runs(samples, args.runs, args.days)
     for day, date, grid in maps:
-        stem = out / f"uq_day{day:02d}"
+        stem = Path(args.out) / f"uq_day{day:02d}"
         export.write_heatmap(grid, stem.with_suffix(".ppm"))
         export.write_grid_csv(grid, spec, stem.with_suffix(".csv"))
         print(f"day {day} ({date.isoformat()}): {stem}.ppm, {stem}.csv")

@@ -5,7 +5,9 @@ over the days a cell is masked, then max/min/average across covered
 cells. Point-error metrics pool squared errors over every masked
 pixel-day first and aggregate across seeds second, so per-seed values
 and their exact population mean/variance are both reported. All four
-scoring stages read each seed's predictions from ``heldout_predictions``.
+scoring stages open a runs directory through ``_heldout_runs``; a seed's
+held-out predictions stay the (D, H, W) stacks they are stored in, and
+float64 sums over them still pool day by day.
 """
 
 from __future__ import annotations
@@ -33,14 +35,14 @@ EVAL_RNG_TAG = 11
 HELDOUT_VERSION = 2
 
 
-def _pooled_mean(what: str, day_values, preds: Sequence, samples: Sequence[GridSample]) -> float:
-    """Mean of ``day_values(pred, sample)``, one day's values at its masked pixels, pooled."""
-    if len(preds) != len(samples) or not samples:
+def _pooled_mean(what: str, day_values, n_days: int, samples: Sequence[GridSample]) -> float:
+    """Mean of ``day_values(i, samples[i])``, day i's values at its masked pixels, pooled."""
+    if n_days != len(samples) or not samples:
         raise ContractError(f"{what}: need matching, nonempty prediction/sample lists")
     total = 0.0
     count = 0
-    for pred, s in zip(preds, samples):
-        values = day_values(pred, s)
+    for i, s in enumerate(samples):
+        values = day_values(i, s)
         total += float(np.sum(values, dtype=np.float64))
         count += values.size
     if count == 0:
@@ -50,10 +52,10 @@ def _pooled_mean(what: str, day_values, preds: Sequence, samples: Sequence[GridS
 
 def pooled_rmse(preds: Sequence[np.ndarray], samples: Sequence[GridSample]) -> float:
     """RMSE over the masked pixels of all days pooled together."""
-    def squared_error(pred, s):
-        diff = pred[s.mask].astype(np.float64) - s.y[s.mask].astype(np.float64)
+    def squared_error(i, s):
+        diff = preds[i][s.mask].astype(np.float64) - s.y[s.mask].astype(np.float64)
         return diff * diff
-    return math.sqrt(_pooled_mean("pooled_rmse", squared_error, preds, samples))
+    return math.sqrt(_pooled_mean("pooled_rmse", squared_error, len(preds), samples))
 
 
 def time_mean_over_masked(grids: Sequence[np.ndarray],
@@ -63,7 +65,7 @@ def time_mean_over_masked(grids: Sequence[np.ndarray],
     Returns (mean grid with NaN at never-covered cells, coverage mask).
     Invariant to the order of days.
     """
-    if len(grids) != len(masks) or not grids:
+    if len(grids) != len(masks) or len(grids) == 0:
         raise ContractError("time_mean_over_masked: need matching, nonempty lists")
     acc = np.zeros(grids[0].shape, dtype=np.float64)
     cnt = np.zeros(grids[0].shape, dtype=np.int64)
@@ -77,33 +79,33 @@ def time_mean_over_masked(grids: Sequence[np.ndarray],
     return mean, covered
 
 
-def uq_stats(preds: Sequence, masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
-    """(max, min, avg) of the per-cell time-mean UQ score: CQR interval length in
-    ppb, MCD epistemic variance in ppb^2."""
-    mean, covered = time_mean_over_masked([p.uq_score for p in preds], masks)
+def uq_stats(pred, masks: Sequence[np.ndarray]) -> tuple[float, float, float]:
+    """(max, min, avg) of the per-cell time-mean UQ score of a stacked prediction: CQR
+    interval length in ppb, MCD epistemic variance in ppb^2."""
+    mean, covered = time_mean_over_masked(pred.uq_score, masks)
     if not covered.any():
         raise ContractError("statistics need at least one covered cell")
     vals = mean[covered]
     return float(vals.max()), float(vals.min()), float(vals.mean())
 
 
-def empirical_coverage(preds: Sequence[CqrPrediction],
-                       samples: Sequence[GridSample]) -> float:
-    """Fraction of masked pixel-days with lo <= y <= hi."""
-    return _pooled_mean("empirical_coverage",
-                        lambda p, s: (p.lo[s.mask] <= s.y[s.mask]) & (s.y[s.mask] <= p.hi[s.mask]),
-                        preds, samples)
+def empirical_coverage(pred: CqrPrediction, samples: Sequence[GridSample]) -> float:
+    """Fraction of masked pixel-days with lo <= y <= hi; the band's day i is samples[i]."""
+    def inside(i, s):
+        y = s.y[s.mask]
+        return (pred.lo[i][s.mask] <= y) & (y <= pred.hi[i][s.mask])
+    return _pooled_mean("empirical_coverage", inside, len(pred.lo), samples)
 
 
-def quantile_crossing_rate(bands: Sequence[CqrPrediction],
-                           samples: Sequence[GridSample]) -> float:
+def quantile_crossing_rate(band: CqrPrediction, samples: Sequence[GridSample]) -> float:
     """Fraction of masked pixel-days where the raw head has q_lo > q_hi.
 
-    Takes the raw bands (qhat 0), so it measures the head before conformal
-    widening.
+    Takes the stacked raw band (qhat 0), so it measures the head before
+    conformal widening.
     """
-    return _pooled_mean("quantile_crossing_rate", lambda b, s: b.lo[s.mask] > b.hi[s.mask],
-                        bands, samples)
+    return _pooled_mean("quantile_crossing_rate",
+                        lambda i, s: band.lo[i][s.mask] > band.hi[i][s.mask],
+                        len(band.lo), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +132,14 @@ class MetricsReport:
     crossing_rate: float | None = None
 
 
-def _open_runs(samples: list[GridSample], runs_dir) -> tuple[TrainConfig, list[RunRecord]]:
-    """Read a runs directory's config and seeds, checking it was trained on this dataset."""
-    config, _ = read_run_config(runs_dir, samples)
-    records = read_runs_log(runs_dir)
-    if not records:
-        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    return config, records
-
-
 @dataclass(frozen=True)
 class HeldOut:
-    """One seed's held-out days (raw, date order) and predictions; for CQR, ``raw``
-    holds the bands before ``preds`` were widened by the seed's qhat."""
+    """One seed's held-out days (raw, date order) and its predictions, each over (D, H, W)
+    stacks; for CQR, ``raw`` is the band before ``preds`` was widened by the seed's qhat."""
 
     days: list[GridSample]
-    preds: list
-    raw: list
+    preds: McdPrediction | CqrPrediction
+    raw: McdPrediction | CqrPrediction
 
 
 def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample],
@@ -211,9 +204,21 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
             save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})
         except OSError as err:
             warnings.warn(f"held-out predictions not stored: {err}", RuntimeWarning, stacklevel=2)
-    raw = [kind(**{n: grids[n][i] for n in names}) for i in range(len(days))]
-    preds = raw if config.uq_method == UQ_MCD else [b.widened(record.qhat) for b in raw]
+    raw = kind(**grids)
+    preds = raw if config.uq_method == UQ_MCD else raw.widened(record.qhat)
     return HeldOut(days=days, preds=preds, raw=raw)
+
+
+def _heldout_runs(samples: list[GridSample], runs_dir,
+                  first_only: bool) -> tuple[TrainConfig, list[HeldOut]]:
+    """A runs directory's config, checked against this dataset, and the held-out
+    predictions of every completed seed or of the first only."""
+    config, _ = read_run_config(runs_dir, samples)
+    records = read_runs_log(runs_dir)
+    if not records:
+        raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
+    return config, [heldout_predictions(samples, config, runs_dir, rec)
+                    for rec in records[:1 if first_only else None]]
 
 
 def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> MetricsReport:
@@ -222,15 +227,14 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     The split is recomputed from each record's seed, so the dataset must
     be the one the runs were trained on.
     """
-    config, records = _open_runs(samples, runs_dir)
-    helds = [heldout_predictions(samples, config, runs_dir, rec) for rec in records]
-    rmses = [pooled_rmse([p.point for p in h.preds], h.days) for h in helds]
+    config, helds = _heldout_runs(samples, runs_dir, first_only=False)
+    rmses = [pooled_rmse(h.preds.point, h.days) for h in helds]
     triples = [uq_stats(h.preds, [s.mask for s in h.days]) for h in helds]
     mean, variance, std = population_stats(rmses)
     triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
     kwargs = dict(
         region=spec.region, uq_method=config.uq_method, n_channels=samples[0].shape[0],
-        n_seeds=len(records), rmse_per_seed=tuple(rmses), rmse_mean=mean,
+        n_seeds=len(helds), rmse_per_seed=tuple(rmses), rmse_mean=mean,
         rmse_variance=variance, rmse_std=std)
     if config.uq_method == UQ_MCD:
         kwargs.update(epistemic_max=triple_mean[0], epistemic_min=triple_mean[1],
@@ -282,17 +286,15 @@ def rank_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> list
     The UQ score is the CQR interval length or the MCD epistemic
     variance, time-averaged per cell and then averaged over seeds.
     """
-    config, records = _open_runs(samples, runs_dir)
+    _, helds = _heldout_runs(samples, runs_dir, first_only=False)
     seed_means, seed_covered, sq_errors, days_masks = [], [], [], []
-    for rec in records:
-        held = heldout_predictions(samples, config, runs_dir, rec)
+    for held in helds:
         masks = [s.mask for s in held.days]
-        mean, covered = time_mean_over_masked([p.uq_score for p in held.preds], masks)
+        mean, covered = time_mean_over_masked(held.preds.uq_score, masks)
         seed_means.append(mean)
         seed_covered.append(covered)
-        for p, s in zip(held.preds, held.days):
-            sq_errors.append((p.point.astype(np.float64)
-                              - np.where(s.mask, s.y, 0).astype(np.float64)) ** 2)
+        ys = np.stack([s.y for s in held.days]).astype(np.float64)
+        sq_errors += list((held.preds.point.astype(np.float64) - ys) ** 2)
         days_masks += masks
     uq_mean, covered_any = time_mean_over_masked(seed_means, seed_covered)
     mse, have = time_mean_over_masked(sq_errors, days_masks)
@@ -319,21 +321,17 @@ def series_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
     Uses the first configured seed. Each row carries the point prediction
     and the prediction's (1 - alpha) band (``band``).
     """
-    config, records = _open_runs(samples, runs_dir)
     row, col = spec.nearest_cell(lat, lon)
-    held = heldout_predictions(samples, config, runs_dir, records[0])
-    rows = []
-    for s, pred in zip(held.days, held.preds):
-        if not s.mask[row, col]:
-            continue
-        lo, hi = pred.band(config.alpha)
-        rows.append(SeriesRow(date=s.date, y=float(s.y[row, col]), mid=float(pred.point[row, col]),
-                              lo=float(lo[row, col]), hi=float(hi[row, col])))
+    config, (held,) = _heldout_runs(samples, runs_dir, first_only=True)
+    lo, hi = held.preds.band(config.alpha)
+    mid = held.preds.point
+    rows = [SeriesRow(date=s.date, y=float(s.y[row, col]), mid=float(mid[i, row, col]),
+                      lo=float(lo[i, row, col]), hi=float(hi[i, row, col]))
+            for i, s in enumerate(held.days) if s.mask[row, col]]
     return (row, col), rows
 
 
-def extrapolate_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
-                         day_indices: Sequence[int]):
+def extrapolate_for_runs(samples: list[GridSample], runs_dir, day_indices: Sequence[int]):
     """Full-grid UQ maps for 1-based indices into the first seed's held-out days.
 
     Every cell gets a value; no station mask is applied. The maps are
@@ -341,14 +339,14 @@ def extrapolate_for_runs(samples: list[GridSample], spec: RegionSpec, runs_dir,
     (CQR) from the stored held-out pass, so masked cells carry exactly the
     values eval scores.
     """
-    config, records = _open_runs(samples, runs_dir)
-    held = heldout_predictions(samples, config, runs_dir, records[0])
+    _, (held,) = _heldout_runs(samples, runs_dir, first_only=True)
+    scores = held.preds.uq_score
     out = []
     for d in day_indices:
         if not 1 <= d <= len(held.days):
             raise ContractError(
                 f"day index {d} out of range, valid indices are 1..{len(held.days)}")
-        grid = held.preds[d - 1].uq_score
+        grid = scores[d - 1]
         if not np.all(np.isfinite(grid)):
             raise ContractError(f"extrapolate: non-finite UQ values on day {d}")
         out.append((d, held.days[d - 1].date, grid))

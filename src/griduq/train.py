@@ -242,7 +242,6 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
     qhat on their calibration days from the best-validation weights.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     in_channels = samples[0].x.shape[0]
     model_config = config.model_config(in_channels)
 
@@ -286,7 +285,8 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     batch without a runs.log line, and the interrupt is re-raised.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # a bad GRIDUQ_THREADS is refused before anything in out_dir changes
+    workers = resolve_workers(len(config.seeds), deterministic)
     # emptied before config.txt changes, so no old seed line outlives an interrupted retrain
     ad.write_atomic(out / RUNS_LOG_NAME, b"")
     write_run_config(out, config, samples)
@@ -299,7 +299,6 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
         except Exception as err:  # noqa: BLE001 - seed isolation is the point
             return f"{type(err).__name__}: {err}"
 
-    workers = resolve_workers(len(config.seeds), deterministic)
     records: dict[int, RunRecord] = {}
     failures: dict[int, str] = {}
     pool = None

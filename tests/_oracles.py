@@ -6,6 +6,7 @@ The rest recompute, one day or one pass at a time, what the package
 computes in bulk.
 """
 
+import dataclasses
 import datetime
 import math
 
@@ -245,6 +246,14 @@ def generate_synthetic_per_day(spec, n_days, channels, noise_profile, station_de
         date = datetime.date(2005 + day // 30, 6, 1 + day % 30)
         samples.append(GridSample(date=date, x=x, y=y, mask=mask.copy()))
     return samples, params
+
+
+def stacked(preds):
+    """Per-day McdPrediction or CqrPrediction objects as one prediction over (D, H, W)
+    stacks, the form the scoring reducers take."""
+    kind = type(preds[0])
+    return kind(**{f.name: np.stack([getattr(p, f.name) for p in preds])
+                   for f in dataclasses.fields(kind)})
 
 
 def clean_target(params, x):

@@ -15,7 +15,9 @@ so all of their fields count as read.
 Parameters: a parameter of a function or method, required or defaulted,
 counts as set when some call in the package passes it a variable, or two
 calls pass it two different constants; one that every call gives the same
-constant is a constant written as a setting.
+constant is a constant written as a setting. A parameter also has to be
+read by its own function; dunder methods are exempt, as Python fixes their
+signatures.
 """
 
 import ast
@@ -41,6 +43,13 @@ ALLOWED_UNSET = {
     "cli.main(argv)",
     # the benchmark passes it positionally and the acceptance tests leave it out
     "data.split(train_frac)",
+}
+
+# parameters that their function never reads, each kept for a reason
+ALLOWED_UNREAD = {
+    # both prediction types share the band(alpha) interface; a CQR band's alpha was fixed
+    # when its qhat was calibrated
+    "uq.CqrPrediction.band(alpha)",
 }
 
 # record classes that the package reads through dataclasses.fields: config.txt and
@@ -276,3 +285,59 @@ def test_records_are_dataclasses():
         [cls] = [c for c in _classes(modules[mod]) if c.name == name]
         decorators = [ast.unparse(d) for d in cls.decorator_list]
         assert any(d.startswith("dataclass") for d in decorators), f"{mod}.{name}"
+
+
+def unread_parameters(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.function(param)``, or the dotted path of a method or nested function, for
+    each parameter that its function's body never reads; dunder methods aside."""
+    flagged = []
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix)
+                continue
+            name = f"{prefix}{child.name}"
+            visit(child, f"{name}.")
+            if child.name.startswith("__") and child.name.endswith("__"):
+                continue
+            read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+            if isinstance(node, ast.ClassDef) and args and args[0].arg in ("self", "cls"):
+                args = args[1:]
+            flagged.extend(f"{name}({a.arg})" for a in args if a.arg not in read)
+
+    for mod, tree in modules.items():
+        visit(tree, f"{mod}.")
+    return sorted(flagged)
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert [p for p in unread_parameters(_modules()) if p not in ALLOWED_UNREAD] == []
+
+
+def test_allowed_unread_parameters_are_unread():
+    assert sorted(ALLOWED_UNREAD) == [p for p in unread_parameters(_modules())
+                                      if p in ALLOWED_UNREAD]
+
+
+def test_check_flags_a_parameter_its_function_never_reads():
+    snippet = """
+def extrapolate(samples, spec, days):
+    def pick(d, unused):
+        return samples[d]
+    return [pick(d, 0) for d in days]
+
+class Band:
+    def band(self, alpha):
+        return self.lo
+
+    def __exit__(self, *exc):
+        return None
+"""
+    assert unread_parameters({"m": ast.parse(snippet)}) == [
+        "m.Band.band(alpha)", "m.extrapolate(spec)", "m.extrapolate.pick(unused)"]

@@ -21,7 +21,7 @@ from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_con
                           read_runs_log)
 from griduq.uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
-from _oracles import rmse_loops
+from _oracles import rmse_loops, stacked
 
 
 def cqr_pred(lo, mid, hi):
@@ -118,7 +118,7 @@ class TestIntervalEpistemicStats:
         hi = np.full((3, 3), 4.0)
         preds = [cqr_pred(lo, lo, hi)] * 3
         masks = [np.ones((3, 3), bool)] * 3
-        mx, mn, avg = uq_stats(preds, masks)
+        mx, mn, avg = uq_stats(stacked(preds), masks)
         assert (mx, mn, avg) == (4.0, 4.0, 4.0)
 
     def test_ordering_invariant(self, rng):
@@ -126,13 +126,13 @@ class TestIntervalEpistemicStats:
                           rng.uniform(1, 5, (4, 4))) for _ in range(5)]
         masks = [rng.uniform(size=(4, 4)) < 0.7 for _ in range(5)]
         masks[0][:] = True
-        mx, mn, avg = uq_stats(preds, masks)
+        mx, mn, avg = uq_stats(stacked(preds), masks)
         assert mn <= avg <= mx
 
     def test_epistemic_stats(self):
         epi = np.array([[1.0, 3.0]], dtype=np.float32)
         preds = [mcd_pred(epi, epi, epi)]
-        mx, mn, avg = uq_stats(preds, [np.ones((1, 2), bool)])
+        mx, mn, avg = uq_stats(stacked(preds), [np.ones((1, 2), bool)])
         assert (mx, mn, avg) == (3.0, 1.0, 2.0)
 
 
@@ -143,7 +143,7 @@ class TestCoverage:
         y = np.array([[0.5, 2.0, -1.0, 1.0]], dtype=np.float32)  # in, out, out, edge-in
         s = GridSample(datetime.date(2005, 6, 1), np.zeros((1, 1, 4), np.float32),
                        y, np.ones((1, 4), bool))
-        cov = empirical_coverage([cqr_pred(lo, lo, hi)], [s])
+        cov = empirical_coverage(stacked([cqr_pred(lo, lo, hi)]), [s])
         assert cov == pytest.approx(0.5)
 
     def test_respects_mask(self):
@@ -152,11 +152,12 @@ class TestCoverage:
         mask = np.array([[True, False]])
         y = np.where(mask, np.float32(0.5), np.float32(np.nan))
         s = GridSample(datetime.date(2005, 6, 1), np.zeros((1, 1, 2), np.float32), y, mask)
-        assert empirical_coverage([cqr_pred(lo, lo, hi)], [s]) == 1.0
+        assert empirical_coverage(stacked([cqr_pred(lo, lo, hi)]), [s]) == 1.0
 
     def test_guards(self):
+        empty = np.zeros((0, 1, 1))
         with pytest.raises(ContractError):
-            empirical_coverage([], [])
+            empirical_coverage(cqr_pred(empty, empty, empty), [])
 
 
 class TestCrossingRate:
@@ -165,7 +166,7 @@ class TestCrossingRate:
         params = build(ModelConfig(in_channels=28, base_width=4, depth=1,
                                    dropout_rate=0.0, uq_method=UQ_CQR), seed=3)
         bands = [cqr_predict(params, s.x) for s in samples[:4]]
-        got = quantile_crossing_rate(bands, samples[:4])
+        got = quantile_crossing_rate(stacked(bands), samples[:4])
         crossed = total = 0
         for band, s in zip(bands, samples[:4]):
             crossed += int(np.sum(band.lo[s.mask] > band.hi[s.mask]))
@@ -354,31 +355,30 @@ class TestSeriesForRuns:
 class TestExtrapolate:
     def test_grids_cover_every_cell(self, tiny_samples, tiny_region, cqr_runs):
         samples, _ = tiny_samples
-        maps = extrapolate_for_runs(samples, tiny_region, cqr_runs, [1, 2])
+        maps = extrapolate_for_runs(samples, cqr_runs, [1, 2])
         assert [d for d, _, _ in maps] == [1, 2]
         for _, date, grid in maps:
             assert grid.shape == (tiny_region.h, tiny_region.w)
             assert np.all(np.isfinite(grid))  # includes never-masked cells
 
-    def test_mcd_epistemic_maps(self, tiny_samples, tiny_region, mcd_runs):
+    def test_mcd_epistemic_maps(self, tiny_samples, mcd_runs):
         samples, _ = tiny_samples
-        maps = extrapolate_for_runs(samples, tiny_region, mcd_runs, [1])
+        maps = extrapolate_for_runs(samples, mcd_runs, [1])
         _, _, grid = maps[0]
         assert np.all(grid >= 0.0)
 
-    def test_day_index_bounds(self, tiny_samples, tiny_region, cqr_runs):
+    def test_day_index_bounds(self, tiny_samples, cqr_runs):
         samples, _ = tiny_samples
         with pytest.raises(ContractError, match="1..2"):
-            extrapolate_for_runs(samples, tiny_region, cqr_runs, [3])
+            extrapolate_for_runs(samples, cqr_runs, [3])
         with pytest.raises(ContractError):
-            extrapolate_for_runs(samples, tiny_region, cqr_runs, [0])
+            extrapolate_for_runs(samples, cqr_runs, [0])
 
-    def test_mcd_maps_are_evals_epistemic_grids(self, tiny_samples, tiny_region, mcd_runs,
-                                                tmp_path):
+    def test_mcd_maps_are_evals_epistemic_grids(self, tiny_samples, mcd_runs, tmp_path):
         samples, _ = tiny_samples
         runs = fresh_copy(mcd_runs, tmp_path)
         want = evals_predictions(samples, runs)[0]
-        maps = extrapolate_for_runs(samples, tiny_region, runs, [2, 1])
+        maps = extrapolate_for_runs(samples, runs, [2, 1])
         assert [d for d, _, _ in maps] == [2, 1]
         for d, _, grid in maps:
             assert np.array_equal(grid, want[d - 1].epistemic)
@@ -428,10 +428,10 @@ class TestHeldOutPredictions:
         warm = self.held(samples, runs_dir)
         for held_cold, held_warm, direct in zip(cold, warm, evals_predictions(samples, runs_dir)):
             assert [s.date for s in held_warm.days] == [s.date for s in held_cold.days]
-            for c, w, d in zip(held_cold.preds, held_warm.preds, direct):
-                for name in GRIDS[runs]:
-                    assert same_bits(getattr(w, name), getattr(c, name))
-                    assert same_bits(getattr(w, name), getattr(d, name))
+            c, w, d = held_cold.preds, held_warm.preds, stacked(direct)
+            for name in GRIDS[runs]:
+                assert same_bits(getattr(w, name), getattr(c, name))
+                assert same_bits(getattr(w, name), getattr(d, name))
 
     @pytest.mark.parametrize("runs", ["mcd_runs", "cqr_runs"])
     def test_one_forward_per_heldout_day_for_all_four_stages(self, runs, request, tiny_samples,
@@ -450,7 +450,7 @@ class TestHeldOutPredictions:
         row, col = map(int, np.argwhere(samples[0].mask)[0])
         rank_for_runs(samples, tiny_region, runs_dir)
         series_for_runs(samples, tiny_region, runs_dir, *tiny_region.cell_center(row, col))
-        extrapolate_for_runs(samples, tiny_region, runs_dir, [1])
+        extrapolate_for_runs(samples, runs_dir, [1])
         assert len(calls) == n_days
 
     @pytest.mark.parametrize("change", ["checkpoint", "stats", "day"])
@@ -476,10 +476,10 @@ class TestHeldOutPredictions:
                             lambda *a, **k: calls.append(1) or predict(*a, **k))
         after = self.held(samples, runs_dir)[0]
         assert len(calls) == len(before.days)  # seed 0 recomputed, seed 1 loaded
-        assert not np.array_equal(after.raw[0].mid, before.raw[0].mid)
+        assert not np.array_equal(after.raw.mid[0], before.raw.mid[0])
         again = self.held(samples, runs_dir)[0]
         assert len(calls) == len(before.days)
-        assert same_bits(again.raw[0].mid, after.raw[0].mid)
+        assert same_bits(again.raw.mid[0], after.raw.mid[0])
 
     def test_failed_write_still_scores(self, tiny_samples, tiny_region, mcd_runs, tmp_path,
                                        monkeypatch):
@@ -504,7 +504,7 @@ class TestHeldOutPredictions:
         for stage in (lambda d: evaluate_runs(d, tiny_region, cqr_runs),
                       lambda d: rank_for_runs(d, tiny_region, cqr_runs),
                       lambda d: series_for_runs(d, tiny_region, cqr_runs, lat, lon),
-                      lambda d: extrapolate_for_runs(d, tiny_region, cqr_runs, [1])):
+                      lambda d: extrapolate_for_runs(d, cqr_runs, [1])):
             with pytest.raises(ContractError, match="another dataset"):
                 stage(moved)
             stage(samples)

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from griduq.autodiff import Tensor
 from griduq.errors import ContractError, DimensionError
 from griduq.losses import gaussian_nll, quantile_loss
 from griduq.model import (SIGMA2_FLOOR, TAUS, UQ_CQR, UQ_MCD,
-                          ModelConfig, UNetParams, build, forward, gaussian_moments)
+                          ModelConfig, UNetParams, _convs, build, forward, gaussian_moments)
 from griduq.uq import cqr_predict
 
 from _gradcheck import gradcheck, lattice_values, max_rel_error
@@ -330,3 +332,20 @@ class TestWholeNetwork:
                 assert results == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+def _benchmark_layers():
+    """perfbench/layers.py, loaded from its file: the benchmark directory is no package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_benchmark_layer_table_names_every_conv_of_the_model(depth):
+    # the benchmark times each conv at its input's level; up<l> reads level l + 1
+    cfg = small_config(depth=depth)
+    want = [(name, level + name.startswith("up")) for name, level, *_ in _convs(cfg)]
+    assert _benchmark_layers().layer_specs(depth) == want

@@ -1,5 +1,6 @@
 import datetime
 import os
+import shutil
 import signal
 import sys
 import threading
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from griduq import autodiff as ad
+from griduq import cli
 from griduq.autodiff import Tensor
 from griduq.data import (GridSample, RegionSpec, dataset_fingerprint, record_from, split,
-                         standardize, targets_digest, ChannelStats)
+                         standardize, targets_digest, write_dataset, ChannelStats)
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
@@ -379,6 +381,22 @@ class TestTrainAllSeeds:
             signal.signal(signal.SIGINT, previous)
         assert sorted(entered) == [0, 1]
         assert read_runs_log(tmp_path) == []
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_threads_setting_leaves_finished_runs_unchanged(self, tiny_samples, tiny_region,
+                                                                cqr_runs, tmp_path, monkeypatch,
+                                                                capsys, threads):
+        samples, _ = tiny_samples
+        write_dataset(samples, tiny_region, tmp_path / "data")
+        runs = shutil.copytree(cqr_runs, tmp_path / "runs")
+        before = {n: (runs / n).read_bytes() for n in ("runs.log", CONFIG_NAME)}
+        monkeypatch.setenv("GRIDUQ_THREADS", threads)
+        rc = cli.main(["train", "--data", str(tmp_path / "data"), "--uq", "mcd",
+                       "--seeds", "0,1", "--out", str(runs)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: GRIDUQ_THREADS must be")
+        assert {n: (runs / n).read_bytes() for n in before} == before
 
     def test_one_worker_trains_in_the_calling_thread(self, tiny_samples, tmp_path, monkeypatch):
         samples, _ = tiny_samples

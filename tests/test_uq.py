@@ -12,6 +12,8 @@ from griduq.train import RunRecord, TrainConfig
 from griduq.uq import (CqrPrediction, McdPrediction, aggregate_mc_passes, cqr_predict,
                        conformal_quantile, conformity_scores, mc_dropout_predict)
 
+from _oracles import stacked
+
 
 def gaussian_model(dropout=0.3, seed=0):
     return build(ModelConfig(in_channels=4, base_width=4, depth=1, dropout_rate=dropout,
@@ -280,6 +282,6 @@ class TestCqr:
             test = [samples[i] for i in order[40:]]
             qhat = conformal_quantile(conformity_scores(params, calib, batch_size=8), alpha=0.1)
             preds = [cqr_predict(params, s.x).widened(qhat) for s in test]
-            coverages.append(empirical_coverage(preds, test))
+            coverages.append(empirical_coverage(stacked(preds), test))
         avg = float(np.mean(coverages))
         assert 0.88 <= avg <= 0.93, f"mean coverage {avg} outside conformal band"
