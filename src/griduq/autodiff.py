@@ -619,8 +619,11 @@ def save_checkpoint(path, params: Mapping[str, Tensor]) -> None:
 
 def load_checkpoint(path) -> dict[str, Tensor]:
     """Read a checkpoint back into named Tensors, preserving order."""
-    blob = read_file(path)
+    return parse_checkpoint(read_file(path), path)
 
+
+def parse_checkpoint(blob: bytes, path) -> dict[str, Tensor]:
+    """The named Tensors of a checkpoint's bytes, in order; a FormatError names ``path``."""
     def take(n: int, what: str) -> bytes:
         nonlocal off
         if off + n > len(blob):

@@ -32,6 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset directory")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("--region", choices=("na", "eu", "synth"), required=True)
     gen.add_argument("--days", type=int, required=True)
     gen.add_argument("--channels", type=int, choices=(28, 51), default=28)
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train one model per seed")
     # each TrainConfig field is the dest of one flag, whose default is the field's
     # (uq_method has none, and --uq is required)
-    tr.set_defaults(**{f.name: f.default for f in fields(train.TrainConfig)})
+    tr.set_defaults(run=_cmd_train, **{f.name: f.default for f in fields(train.TrainConfig)})
     tr.add_argument("--data", required=True)
     tr.add_argument("--uq", dest="uq_method", choices=(train.UQ_MCD, train.UQ_CQR),
                     required=True)
@@ -63,11 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="single-threaded, bitwise-reproducible run")
 
     scoring = {}
-    for name, text in (("eval", "score runs on their held-out days"),
-                       ("rank", "rank station cells by mean UQ score"),
-                       ("series", "observed vs predicted band at a station"),
-                       ("extrapolate", "full-grid UQ maps for selected days")):
+    for name, run, text in (("eval", _cmd_eval, "score runs on their held-out days"),
+                            ("rank", _cmd_rank, "rank station cells by mean UQ score"),
+                            ("series", _cmd_series, "observed vs predicted band at a station"),
+                            ("extrapolate", _cmd_extrapolate, "full-grid UQ maps for selected days")):
         scoring[name] = sub.add_parser(name, help=text)
+        scoring[name].set_defaults(run=run)
         for flag in ("--data", "--runs", "--out"):
             scoring[name].add_argument(flag, required=True)
     scoring["rank"].add_argument("--top", type=int, required=True)
@@ -149,20 +151,10 @@ def _cmd_extrapolate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "rank": _cmd_rank,
-    "series": _cmd_series,
-    "extrapolate": _cmd_extrapolate,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (GridUQError, OSError) as err:  # OSError: an output path the OS refuses
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -234,20 +234,18 @@ def record_from(cls, items: dict[str, str], where):
         raise ContractError(f"{where}: {err}") from None
 
 
-def read_lines(directory, name: str) -> list[str]:
-    """The lines of a directory's text file: manifest.txt, config.txt, runs.log or a grid
-    CSV. A missing or unreadable file, or bytes that are not UTF-8, are a FormatError."""
-    fp = Path(directory) / name
-    if not fp.is_file():
-        raise FormatError(f"{directory}: missing {name}")
+def read_text(fp: Path) -> tuple[bytes, list[str]]:
+    """The bytes and lines of a text file: manifest.txt, config.txt, runs.log or a grid CSV.
+    A missing or unreadable file, or bytes that are not UTF-8, are a FormatError."""
+    blob = read_file(fp)
     try:
-        return read_file(fp).decode("utf-8").splitlines()
+        return blob, blob.decode("utf-8").splitlines()
     except UnicodeDecodeError as err:
         raise FormatError(f"{fp}: byte {err.start} is not UTF-8 text") from None
 
 
 def read_manifest(path) -> dict[str, str]:
-    return parse_fields(read_lines(path, MANIFEST_NAME), Path(path) / MANIFEST_NAME)
+    return parse_fields(read_text(Path(path) / MANIFEST_NAME)[1], Path(path) / MANIFEST_NAME)
 
 
 def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -> GridSample:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import write_atomic
-from .data import RegionSpec, read_lines
+from .data import RegionSpec, read_text
 from .errors import ContractError, FormatError
 from .metrics import MetricsReport, SeriesRow, StationScore
 
@@ -80,22 +80,25 @@ def write_grid_csv(grid: np.ndarray, spec: RegionSpec, path) -> None:
 
 def read_grid_csv(path) -> np.ndarray:
     """Rebuild the float32 grid a write_grid_csv call described."""
-    lines = read_lines(Path(path).parent, Path(path).name)
+    _, lines = read_text(Path(path))
     if not lines or lines[0] != "row,col,lat,lon,value":
         raise FormatError(f"{path}: missing grid CSV header")
-    cells = []
+    cells = {}
     for ln, line in enumerate(lines[1:], 2):
         try:
             row, col, _, _, value = line.split(",")
-            cells.append((int(row), int(col), np.float32(value)))
+            cell, v = (int(row), int(col)), np.float32(value)
         except ValueError:
             raise FormatError(f"{path}: line {ln} is not row,col,lat,lon,value: {line!r}") from None
+        if min(cell) < 0 or cell in cells:
+            raise FormatError(f"{path}: line {ln} has a negative or repeated cell {cell}")
+        cells[cell] = v
     if not cells:
         raise FormatError(f"{path}: no cells")
-    h = max(r for r, _, _ in cells) + 1
-    w = max(c for _, c, _ in cells) + 1
+    h = max(r for r, _ in cells) + 1
+    w = max(c for _, c in cells) + 1
     grid = np.full((h, w), np.nan, dtype=np.float32)
-    for r, c, v in cells:
+    for (r, c), v in cells.items():
         grid[r, c] = v
     return grid
 

@@ -25,8 +25,8 @@ import numpy as np
 from .autodiff import Tensor, load_checkpoint, read_file, save_checkpoint
 from .data import GridSample, RegionSpec, standardize, targets_digest
 from .errors import ContractError, FormatError
-from .train import (CONFIG_NAME, RunRecord, TrainConfig, UQ_CQR, UQ_MCD, load_run_params,
-                    population_stats, read_run_config, read_runs_log)
+from .train import (RunRecord, TrainConfig, UQ_CQR, UQ_MCD, parse_run_params, population_stats,
+                    read_runs_log, run_config)
 from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
@@ -142,13 +142,11 @@ class HeldOut:
     raw: McdPrediction | CqrPrediction
 
 
-def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample],
+def _heldout_key(record: RunRecord, files: list[bytes], days: list[GridSample],
                  grids: dict[str, np.ndarray]) -> np.ndarray:
-    """SHA-256 of every input of a seed's held-out predictions, then of each stored grid's
-    name, shape and bytes, one byte per float."""
-    parts = [f"{HELDOUT_VERSION}|{record.seed}".encode()]
-    parts += [read_file(Path(runs_dir) / name)
-              for name in (CONFIG_NAME, record.checkpoint, record.stats)]
+    """SHA-256 of every input of a seed's held-out predictions (``files``: the config.txt,
+    checkpoint and stats bytes), then of each stored grid's name, shape and bytes."""
+    parts = [f"{HELDOUT_VERSION}|{record.seed}".encode(), *files]
     for s in days:
         parts += [s.date.isoformat().encode(), np.ascontiguousarray(s.x, dtype="<f4")]
     for name, g in grids.items():
@@ -161,18 +159,17 @@ def _heldout_key(runs_dir, record: RunRecord, days: list[GridSample],
 
 
 def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir,
-                        record: RunRecord) -> HeldOut:
+                        record: RunRecord, config_text: bytes) -> HeldOut:
     """One seed's predictions on its held-out days, computed once per runs directory.
 
-    Days whose targets_digest is not the record's ``heldout_targets`` are refused
-    first. The first call runs one forward per day (MCD: one generator seeded
-    [seed, EVAL_RNG_TAG] over the days in date order) and stores the prediction
-    type's fields, the MCD mean/epistemic/aleatoric or raw CQR lo/mid/hi grids,
-    in ``seed<N>_heldout.guqw``, with a key hashing the checkpoint, stats and
-    config.txt bytes, the seed, the held-out dates and raw inputs and
-    HELDOUT_VERSION, then the stored grids. Later calls load the file while the
-    key matches, so a changed input or a damaged grid is recomputed. A failed
-    write costs a RuntimeWarning, not the result.
+    Days whose targets_digest is not the record's ``heldout_targets`` are refused first.
+    The first call runs one forward per day (MCD: one generator seeded [seed,
+    EVAL_RNG_TAG] over the days in date order) and stores the MCD mean/epistemic/aleatoric
+    or raw CQR lo/mid/hi grids in ``seed<N>_heldout.guqw``, keyed on HELDOUT_VERSION, the
+    seed, ``config_text`` (the config.txt bytes ``config`` came from), the checkpoint and
+    stats bytes the weights are parsed from (one read each), the held-out dates and raw
+    inputs, then the grids. Later calls load the file while the key matches, so a changed
+    input or a damaged grid is recomputed. A failed write warns and still scores.
     """
     if config.uq_method == UQ_CQR and (record.qhat is None or not math.isfinite(record.qhat)):
         raise ContractError(f"seed {record.seed}: CQR record needs a finite qhat, "
@@ -183,6 +180,8 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
                             "(its held-out targets or station masks differ)")
     kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction
     names = [f.name for f in fields(kind)]
+    files = [config_text, *(read_file(Path(runs_dir) / name)
+                            for name in (record.checkpoint, record.stats))]
     path = Path(runs_dir) / f"seed{record.seed}_heldout.guqw"
     try:
         stored = load_checkpoint(path)
@@ -190,8 +189,9 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
         stored = {}
     grids = {n: t.data for n, t in stored.items() if n != "key"}
     if (list(stored) != ["key", *names]
-            or not np.array_equal(stored["key"].data, _heldout_key(runs_dir, record, days, grids))):
-        params, stats = load_run_params(runs_dir, record)
+            or not np.array_equal(stored["key"].data, _heldout_key(record, files, days, grids))):
+        params, stats = parse_run_params(config.model_config(samples[0].shape[0]), runs_dir,
+                                         record, *files[1:])
         xs = [s.x for s in standardize(days, stats)]
         if config.uq_method == UQ_MCD:
             rng = np.random.default_rng([record.seed, EVAL_RNG_TAG])
@@ -199,7 +199,7 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
         else:
             fresh = [cqr_predict(params, x) for x in xs]  # the raw band
         grids = {n: np.stack([getattr(p, n) for p in fresh]) for n in names}
-        key = _heldout_key(runs_dir, record, days, grids)
+        key = _heldout_key(record, files, days, grids)
         try:
             save_checkpoint(path, {"key": Tensor(key)} | {n: Tensor(g) for n, g in grids.items()})
         except OSError as err:
@@ -211,13 +211,13 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
 
 def _heldout_runs(samples: list[GridSample], runs_dir,
                   first_only: bool) -> tuple[TrainConfig, list[HeldOut]]:
-    """A runs directory's config, checked against this dataset, and the held-out
-    predictions of every completed seed or of the first only."""
-    config, _ = read_run_config(runs_dir, samples)
+    """A runs directory's config, checked against this dataset, and the held-out predictions
+    of every completed seed or of the first only; each file of the directory is read once."""
+    config, _, config_text = run_config(runs_dir, samples)
     records = read_runs_log(runs_dir)
     if not records:
         raise ContractError(f"{runs_dir}: runs.log has no completed seeds")
-    return config, [heldout_predictions(samples, config, runs_dir, rec)
+    return config, [heldout_predictions(samples, config, runs_dir, rec, config_text)
                     for rec in records[:1 if first_only else None]]
 
 
@@ -231,21 +231,17 @@ def evaluate_runs(samples: list[GridSample], spec: RegionSpec, runs_dir) -> Metr
     rmses = [pooled_rmse(h.preds.point, h.days) for h in helds]
     triples = [uq_stats(h.preds, [s.mask for s in h.days]) for h in helds]
     mean, variance, std = population_stats(rmses)
-    triple_mean = tuple(float(np.mean([t[i] for t in triples])) for i in range(3))
-    kwargs = dict(
-        region=spec.region, uq_method=config.uq_method, n_channels=samples[0].shape[0],
-        n_seeds=len(helds), rmse_per_seed=tuple(rmses), rmse_mean=mean,
-        rmse_variance=variance, rmse_std=std)
-    if config.uq_method == UQ_MCD:
-        kwargs.update(epistemic_max=triple_mean[0], epistemic_min=triple_mean[1],
-                      epistemic_avg=triple_mean[2])
-    else:
-        kwargs.update(interval_max=triple_mean[0], interval_min=triple_mean[1],
-                      interval_avg=triple_mean[2],
-                      coverage=float(np.mean([empirical_coverage(h.preds, h.days) for h in helds])),
+    score = "epistemic" if config.uq_method == UQ_MCD else "interval"
+    kwargs = {f"{score}_{stat}": float(np.mean(values))
+              for stat, values in zip(("max", "min", "avg"), zip(*triples))}
+    if config.uq_method == UQ_CQR:
+        kwargs.update(coverage=float(np.mean([empirical_coverage(h.preds, h.days) for h in helds])),
                       crossing_rate=float(np.mean([quantile_crossing_rate(h.raw, h.days)
                                                    for h in helds])))
-    return MetricsReport(**kwargs)
+    return MetricsReport(
+        region=spec.region, uq_method=config.uq_method, n_channels=samples[0].shape[0],
+        n_seeds=len(helds), rmse_per_seed=tuple(rmses), rmse_mean=mean,
+        rmse_variance=variance, rmse_std=std, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +268,9 @@ def rank_stations(uq_grid: np.ndarray, rmse_grid: np.ndarray, mask: np.ndarray,
             f"rank_stations: grids {uq_grid.shape} must match region {(spec.h, spec.w)}")
     if not mask.any():
         raise ContractError("rank_stations: no masked cells to rank")
-    rows = []
-    for r, c in np.argwhere(mask):
-        lat, lon = spec.cell_center(int(r), int(c))
-        rows.append(StationScore(row=int(r), col=int(c), lat=lat, lon=lon,
-                                 uq_score=float(uq_grid[r, c]), rmse=float(rmse_grid[r, c])))
+    rows = [StationScore(int(r), int(c), *spec.cell_center(int(r), int(c)),
+                         uq_score=float(uq_grid[r, c]), rmse=float(rmse_grid[r, c]))
+            for r, c in np.argwhere(mask)]
     return sorted(rows, key=lambda s: (-s.uq_score, s.row, s.col))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (TRAIN_FRAC, ChannelStats, GridSample, batches, convert_fields,
-                   dataset_fingerprint, parse_fields, read_lines, record_from, record_items,
+                   dataset_fingerprint, parse_fields, read_text, record_from, record_items,
                    split, standardize, targets_digest)
 from .errors import ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
@@ -350,11 +350,17 @@ def write_run_config(out_dir, config: TrainConfig, samples: list[GridSample]) ->
     ad.write_atomic(Path(out_dir) / CONFIG_NAME, ("\n".join(items) + "\n").encode())
 
 
-def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[TrainConfig, int]:
-    """Rebuild the TrainConfig and input channel count from config.txt; given samples,
-    raise ContractError unless the runs were trained on them (channels, ``dataset=``)."""
+def read_run_config(runs_dir) -> tuple[TrainConfig, int]:
+    """The TrainConfig and input channel count of config.txt, as ``run_config`` gives them."""
+    return run_config(runs_dir, None)[:2]
+
+
+def run_config(runs_dir, samples: list[GridSample] | None) -> tuple[TrainConfig, int, bytes]:
+    """The TrainConfig, input channel count and bytes of config.txt; given samples, raise
+    ContractError unless the runs were trained on them (channels, ``dataset=``)."""
     fp = Path(runs_dir) / CONFIG_NAME
-    items = parse_fields(read_lines(runs_dir, CONFIG_NAME), fp)
+    text, lines = read_text(fp)
+    items = parse_fields(lines, fp)
     config = record_from(TrainConfig, items, fp)
     in_channels = convert_fields(items, fp, {"in_channels": int})["in_channels"]
     if "taus" in items and convert_fields(
@@ -368,14 +374,14 @@ def read_run_config(runs_dir, samples: list[GridSample] | None = None) -> tuple[
         if items.get("dataset") not in (None, dataset_fingerprint(samples)):
             raise ContractError(f"{runs_dir}: runs were trained on another dataset "
                                 "(its day dates or grid shape differ from this one)")
-    return config, in_channels
+    return config, in_channels, text
 
 
 def read_runs_log(runs_dir) -> list[RunRecord]:
     """One record per nonblank line; a negative or repeated seed is a FormatError."""
     fp = Path(runs_dir) / RUNS_LOG_NAME
     records: dict[int, RunRecord] = {}
-    for ln, line in enumerate(read_lines(runs_dir, RUNS_LOG_NAME), 1):
+    for ln, line in enumerate(read_text(fp)[1], 1):
         if line.strip():
             rec = RunRecord.from_line(line, f"{fp} line {ln}")
             if rec.seed < 0 or rec.seed in records:
@@ -388,10 +394,25 @@ def read_runs_log(runs_dir) -> list[RunRecord]:
 def load_run_params(runs_dir, record: RunRecord) -> tuple[UNetParams, ChannelStats]:
     """Rebuild a trained model and its input statistics from a runs directory."""
     config, in_channels = read_run_config(runs_dir)
-    model_config = config.model_config(in_channels)
-    tensors = ad.load_checkpoint(Path(runs_dir) / record.checkpoint)
-    stats_tensors = ad.load_checkpoint(Path(runs_dir) / record.stats)
+    files = (ad.read_file(Path(runs_dir) / n) for n in (record.checkpoint, record.stats))
+    return parse_run_params(config.model_config(in_channels), runs_dir, record, *files)
+
+
+def parse_run_params(model_config: ModelConfig, runs_dir, record: RunRecord, weights: bytes,
+                     stats: bytes) -> tuple[UNetParams, ChannelStats]:
+    """A seed's model and input statistics from the bytes of its checkpoint and stats files.
+    A weight that is not finite, or stats other than a finite mean and a finite std > 0 per
+    input channel, is a FormatError naming the file."""
+    weights_fp, stats_fp = (Path(runs_dir) / n for n in (record.checkpoint, record.stats))
+    tensors = ad.parse_checkpoint(weights, weights_fp)
+    stats_tensors = ad.parse_checkpoint(stats, stats_fp)
     if set(stats_tensors) != {"mean", "std"}:
-        raise FormatError(f"{record.stats}: expected tensors 'mean' and 'std'")
-    stats = ChannelStats(mean=stats_tensors["mean"].data, std=stats_tensors["std"].data)
-    return UNetParams(model_config, tensors), stats
+        raise FormatError(f"{stats_fp}: expected tensors 'mean' and 'std'")
+    mean, std = stats_tensors["mean"].data, stats_tensors["std"].data
+    for name, t in tensors.items():
+        if not np.isfinite(t.data).all():
+            raise FormatError(f"{weights_fp}: tensor '{name}' is not finite")
+    c = model_config.in_channels
+    if not (mean.shape == std.shape == (c,) and np.isfinite([mean, std]).all() and std.min() > 0):
+        raise FormatError(f"{stats_fp}: mean and std must be finite, of shape ({c},), and std > 0")
+    return UNetParams(model_config, tensors), ChannelStats(mean=mean, std=std)

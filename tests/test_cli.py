@@ -2,11 +2,12 @@
 
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from griduq import cli, data, metrics, train
+from griduq import autodiff, cli, data, export, metrics, train
 from griduq.autodiff import Tensor, load_checkpoint, save_checkpoint
 from griduq.errors import FormatError
 from griduq.export import read_grid_csv
@@ -612,6 +613,83 @@ class TestScoringReadsHeldOutDays:
         pinned = "752b9e692ba7ef12e8890fbd3488eab3a030c91135a8f60f2e19d034f88769a5"
         assert f"dataset={pinned}\n" in (runs_dir / "config.txt").read_text()
         assert data.dataset_fingerprint(data.open_dataset(world)[0]) == pinned
+
+
+def _after_each_read(monkeypatch, then):
+    """Call ``then(path)`` each time a read_file of the package returns, in every module that
+    holds a binding of it."""
+    real = autodiff.read_file
+
+    def read(path):
+        blob = real(path)
+        then(Path(path))
+        return blob
+
+    for module in (autodiff, data, export, metrics, train):
+        if getattr(module, "read_file", None) is real:
+            monkeypatch.setattr(module, "read_file", read)
+
+
+class TestScoringReadsRunFilesOnce:
+    """A scoring call reads config.txt and runs.log once, and each scored seed's checkpoint,
+    stats and stored predictions at most once; the stored key and the weights that made the
+    predictions come from the same bytes."""
+
+    @pytest.fixture()
+    def world(self, tiny_samples, tiny_region, tmp_path):
+        data.write_dataset(tiny_samples[0], tiny_region, tmp_path / "data")
+        return tmp_path / "data"
+
+    @staticmethod
+    def cold_copy(runs_dir, dest):
+        return shutil.copytree(runs_dir, dest, ignore=shutil.ignore_patterns("*_heldout.guqw"))
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_each_stage_reads_each_run_file_once(self, runs, request, world, tmp_path,
+                                                  monkeypatch):
+        runs_dir = self.cold_copy(request.getfixturevalue(runs), tmp_path / "runs")
+        reads = []
+        _after_each_read(monkeypatch,
+                         lambda path: reads.append(path.name) if path.parent == runs_dir else None)
+        for stage in SCORING_STAGES:
+            seeds = (0, 1) if stage in ("eval", "rank") else (0,)
+            for warm in (False, True):
+                if not warm:
+                    for held in runs_dir.glob("*_heldout.guqw"):
+                        held.unlink()
+                want = {"config.txt": 1, "runs.log": 1}
+                for seed in seeds:
+                    want |= {f"seed{seed}_best.guqw": 1, f"seed{seed}_stats.guqw": 1}
+                    if warm:
+                        want[f"seed{seed}_heldout.guqw"] = 1
+                reads.clear()
+                assert cli.main(_scoring_argv(stage, world, runs_dir, tmp_path / "out")) == 0
+                assert {n: reads.count(n) for n in reads} == want, (stage, warm)
+
+    @pytest.mark.parametrize("runs", ["cqr_runs", "mcd_runs"])
+    def test_checkpoint_replaced_after_its_read_is_not_served(self, runs, request, world,
+                                                              tmp_path, monkeypatch):
+        # as a train into the runs directory being scored would: seed 0's checkpoint is
+        # replaced right after the cold call read it
+        runs_dir = self.cold_copy(request.getfixturevalue(runs), tmp_path / "runs")
+        ckpt = runs_dir / "seed0_best.guqw"
+        replaced = []
+
+        def replace(path):
+            if path == ckpt and not replaced:
+                replaced.append(path)
+                shutil.copyfile(runs_dir / "seed1_best.guqw", ckpt)
+
+        _after_each_read(monkeypatch, replace)
+        assert cli.main(_scoring_argv("eval", world, runs_dir, tmp_path / "cold")) == 0
+        monkeypatch.undo()
+        assert replaced
+        assert cli.main(_scoring_argv("eval", world, runs_dir, tmp_path / "warm")) == 0
+        recomputed = self.cold_copy(runs_dir, tmp_path / "recomputed")
+        assert cli.main(_scoring_argv("eval", world, recomputed, tmp_path / "fresh")) == 0
+        report = Path("report.txt")
+        assert _files(tmp_path / "warm")[report] == _files(tmp_path / "fresh")[report]
+        assert _files(tmp_path / "cold")[report] != _files(tmp_path / "fresh")[report]
 
 
 def test_no_command_is_usage_error():

@@ -31,6 +31,9 @@ PACKAGE = Path(griduq.__file__).parent
 ALLOWED = {
     # the benchmark's reader of every extrapolate map (perfbench/harness.py check_outputs)
     ("export", "read_grid_csv"),
+    # the benchmark's loader of a seed's model for its closed MC loop (perfbench/harness.py
+    # mc_closed_loop); scoring parses the bytes it keys its held-out predictions on
+    ("train", "load_run_params"),
 }
 
 # parameters that every package call gives the same constant, each kept for a reason

@@ -103,11 +103,14 @@ class TestGridCsv:
         with pytest.raises(FormatError):
             read_grid_csv(fp)
 
-    @pytest.mark.parametrize("line", ["0,x,1.0,2.0,3.0", "0,0,1.0,2.0,abc", "0.5,0,1.0,2.0,3.0"])
+    @pytest.mark.parametrize("line", ["0,x,1.0,2.0,3.0", "0,0,1.0,2.0,abc", "0.5,0,1.0,2.0,3.0",
+                                      "-1,0,1.0,2.0,3.0", "0,-1,1.0,2.0,3.0",
+                                      "0,1,1.0,2.0,3.0\n0,1,1.0,2.0,4.0"])
     def test_read_rejects_malformed_line(self, tmp_path, line):
+        # the last line is the bad one: a negative cell, or one that an earlier line gave
         fp = tmp_path / "bad.csv"
         fp.write_text(f"row,col,lat,lon,value\n{line}\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(FormatError, match=f"line {1 + len(line.splitlines())}"):
             read_grid_csv(fp)
 
     def test_read_rejects_bytes_that_are_not_utf8(self, tmp_path):

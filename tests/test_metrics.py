@@ -10,7 +10,7 @@ from griduq import autodiff as ad
 from griduq import metrics, model
 from griduq import uq as uq_module
 from griduq.data import GridSample, split, standardize
-from griduq.errors import ContractError
+from griduq.errors import ContractError, FormatError
 from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore,
                             empirical_coverage, evaluate_runs, extrapolate_for_runs,
                             heldout_predictions, pooled_rmse, population_stats,
@@ -18,7 +18,7 @@ from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore
                             series_for_runs, time_mean_over_masked, uq_stats)
 from griduq.model import UQ_CQR, ModelConfig, build
 from griduq.train import (CONFIG_NAME, TRAIN_FRAC, load_run_params, read_run_config,
-                          read_runs_log)
+                          read_runs_log, run_config)
 from griduq.uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 from _oracles import rmse_loops, stacked
@@ -415,8 +415,9 @@ GRIDS = {"mcd_runs": ("mean", "epistemic", "aleatoric"), "cqr_runs": ("lo", "mid
 
 class TestHeldOutPredictions:
     def held(self, samples, runs):
-        config, _ = read_run_config(runs)
-        return [heldout_predictions(samples, config, runs, rec) for rec in read_runs_log(runs)]
+        config, _, text = run_config(runs, samples)
+        return [heldout_predictions(samples, config, runs, rec, text)
+                for rec in read_runs_log(runs)]
 
     @pytest.mark.parametrize("runs", ["mcd_runs", "cqr_runs"])
     def test_cache_hit_equals_fresh_compute(self, runs, request, tiny_samples, tmp_path):
@@ -480,6 +481,28 @@ class TestHeldOutPredictions:
         again = self.held(samples, runs_dir)[0]
         assert len(calls) == len(before.days)
         assert same_bits(again.raw.mid[0], after.raw.mid[0])
+
+    @pytest.mark.parametrize("defect", ["std=0", "std=-1", "std=nan", "std=inf", "mean=nan",
+                                        "mean=inf", "27 channels", "weight=nan"])
+    def test_bad_stats_or_weights_are_refused(self, defect, tiny_samples, tiny_region, mcd_runs,
+                                              tmp_path):
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(mcd_runs, tmp_path)
+        rec = read_runs_log(runs_dir)[0]
+        what, _, value = defect.partition("=")
+        name = rec.checkpoint if what == "weight" else rec.stats
+        tensors = ad.load_checkpoint(runs_dir / name)
+        if defect == "27 channels":
+            tensors = {k: ad.Tensor(t.data[:27]) for k, t in tensors.items()}
+        else:
+            target = next(iter(tensors.values())) if what == "weight" else tensors[what]
+            target.data.flat[3] = float(value)
+        ad.save_checkpoint(runs_dir / name, tensors)
+        for score in (lambda: load_run_params(runs_dir, rec),
+                      lambda: evaluate_runs(samples, tiny_region, runs_dir)):
+            with pytest.raises(FormatError, match=name):
+                score()
+        assert not (runs_dir / "seed0_heldout.guqw").exists()
 
     def test_failed_write_still_scores(self, tiny_samples, tiny_region, mcd_runs, tmp_path,
                                        monkeypatch):

@@ -21,8 +21,8 @@ from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
 from griduq.train import (CONFIG_NAME, GRAD_CLIP_NORM, TRAIN_FRAC, RunRecord, TrainConfig,
                           clip_grad_norm, fit, load_run_params,
-                          read_run_config, read_runs_log, resolve_workers, train_all_seeds,
-                          train_one, write_run_config, _pooled_loss)
+                          read_run_config, read_runs_log, resolve_workers, run_config,
+                          train_all_seeds, train_one, write_run_config, _pooled_loss)
 
 
 def tiny_config(uq="mcd", **kw):
@@ -532,7 +532,7 @@ class TestRunConfigRecord:
             EARLIER_CONFIG.format(dataset=dataset_fingerprint(samples)))
         (tmp_path / "runs.log").write_text(EARLIER_RUNS_LOG_LINE + "\n")
         config, record = EARLIER_VALUES
-        assert read_run_config(tmp_path, samples) == (config, 28)
+        assert run_config(tmp_path, samples)[:2] == (config, 28)
         assert read_runs_log(tmp_path) == [record]
 
     def test_written_bytes_match_earlier_files(self, tmp_path, tiny_samples):
@@ -617,10 +617,11 @@ class TestHelpers:
         samples, _ = tiny_samples
         write_run_config(tmp_path, tiny_config("mcd"), samples)
         assert f"dataset={dataset_fingerprint(samples)}\n" in (tmp_path / CONFIG_NAME).read_text()
-        assert read_run_config(tmp_path, samples) == (tiny_config("mcd"), 28)
+        text = (tmp_path / CONFIG_NAME).read_bytes()
+        assert run_config(tmp_path, samples) == (tiny_config("mcd"), 28, text)
         shifted = [replace(s, date=s.date + datetime.timedelta(days=1000)) for s in samples]
         with pytest.raises(ContractError, match="another dataset"):
-            read_run_config(tmp_path, shifted)
+            run_config(tmp_path, shifted)
         assert dataset_fingerprint(list(reversed(samples))) == dataset_fingerprint(samples)
         assert dataset_fingerprint(samples[:-1]) != dataset_fingerprint(samples)
 

@@ -264,7 +264,7 @@ class TestCqr:
             record = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
                                qhat=qhat, checkpoint="a", stats="c", wall_time_s=0.5)
             with pytest.raises(ContractError, match=f"needs a finite qhat, got {qhat}"):
-                heldout_predictions(samples, config, tmp_path, record)
+                heldout_predictions(samples, config, tmp_path, record, b"")
 
     def test_head_guard(self, tiny_world):
         _, samples = tiny_world
