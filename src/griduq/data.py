@@ -206,7 +206,6 @@ def convert_fields(fields: dict[str, str], where, converters: dict) -> dict:
 # repr, so they re-parse bit-exactly
 _FIELD_TEXT = {
     "str": (str, str),
-    "str | None": (str, str),
     "int": (int, str),
     "float": (float, repr),
     "float | None": (lambda v: None if v == "none" else float(v),
@@ -217,17 +216,14 @@ _FIELD_TEXT = {
 
 
 def record_items(record) -> list[str]:
-    """``key=value`` for every field of a record dataclass, in field order; a field whose
-    default is None is left out while it is None."""
-    return [f"{f.name}={_FIELD_TEXT[f.type][1](getattr(record, f.name))}" for f in fields(record)
-            if not (f.default is None and getattr(record, f.name) is None)]
+    """``key=value`` for every field of a record dataclass, in field order."""
+    return [f"{f.name}={_FIELD_TEXT[f.type][1](getattr(record, f.name))}" for f in fields(record)]
 
 
 def record_from(cls, items: dict[str, str], where):
-    """A record dataclass from parsed key=value items. Every field's key is required, but a
-    field whose default is None may be missing. A value the record refuses names ``where``."""
-    converters = {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)
-                  if f.default is not None or f.name in items}
+    """A record dataclass from parsed key=value items; every field's key is required. A value
+    the record refuses names ``where``."""
+    converters = {f.name: _FIELD_TEXT[f.type][0] for f in fields(cls)}
     try:
         return cls(**convert_fields(items, where, converters))
     except ContractError as err:

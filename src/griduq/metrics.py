@@ -31,8 +31,9 @@ from .uq import CqrPrediction, McdPrediction, cqr_predict, mc_dropout_predict
 
 EVAL_RNG_TAG = 11
 # Bump when stored held-out predictions would no longer match a fresh compute
-# (the forward pass, EVAL_RNG_TAG or the stored grids change) or the key changes.
-HELDOUT_VERSION = 2
+# (the forward pass, EVAL_RNG_TAG or the stored grids change), when the key changes, or
+# when a new check on the weights or stats could refuse what a stored file came from.
+HELDOUT_VERSION = 3
 
 
 def _pooled_mean(what: str, day_values, n_days: int, samples: Sequence[GridSample]) -> float:
@@ -175,7 +176,7 @@ def heldout_predictions(samples: list[GridSample], config: TrainConfig, runs_dir
         raise ContractError(f"seed {record.seed}: CQR record needs a finite qhat, "
                             f"got {record.qhat}")
     days = sorted(config.split_days(samples, record.seed)[-1], key=lambda s: s.date)
-    if record.heldout_targets not in (None, targets_digest(days)):
+    if record.heldout_targets != targets_digest(days):
         raise ContractError(f"seed {record.seed} was trained on another dataset "
                             "(its held-out targets or station masks differ)")
     kind = McdPrediction if config.uq_method == UQ_MCD else CqrPrediction

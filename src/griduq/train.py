@@ -101,7 +101,7 @@ class RunRecord:
     checkpoint: str        # runs-dir relative paths
     stats: str
     wall_time_s: float
-    heldout_targets: str | None = None  # targets_digest of the held-out days; None in older lines
+    heldout_targets: str   # targets_digest of the held-out days
 
     def to_line(self) -> str:
         return " ".join(record_items(self))
@@ -285,8 +285,9 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     batch without a runs.log line, and the interrupt is re-raised.
     """
     out = Path(out_dir)
-    # a bad GRIDUQ_THREADS is refused before anything in out_dir changes
+    # a bad GRIDUQ_THREADS, or a world too short to split, is refused before out_dir changes
     workers = resolve_workers(len(config.seeds), deterministic)
+    config.split_days(samples, config.seeds[0])
     # emptied before config.txt changes, so no old seed line outlives an interrupted retrain
     ad.write_atomic(out / RUNS_LOG_NAME, b"")
     write_run_config(out, config, samples)
@@ -357,23 +358,21 @@ def read_run_config(runs_dir) -> tuple[TrainConfig, int]:
 
 def run_config(runs_dir, samples: list[GridSample] | None) -> tuple[TrainConfig, int, bytes]:
     """The TrainConfig, input channel count and bytes of config.txt; given samples, raise
-    ContractError unless the runs were trained on them (channels, ``dataset=``)."""
+    ContractError unless ``dataset=`` is their fingerprint and ``in_channels`` their count."""
     fp = Path(runs_dir) / CONFIG_NAME
     text, lines = read_text(fp)
     items = parse_fields(lines, fp)
     config = record_from(TrainConfig, items, fp)
-    in_channels = convert_fields(items, fp, {"in_channels": int})["in_channels"]
-    if "taus" in items and convert_fields(
-            items, fp, {"taus": lambda v: tuple(float(t) for t in v.split(","))})["taus"] != TAUS:
+    in_channels, taus, dataset = convert_fields(items, fp, {
+        "in_channels": int, "taus": lambda v: tuple(float(t) for t in v.split(",")),
+        "dataset": str}).values()
+    if taus != TAUS:
         raise FormatError(f"{fp}: taus={items['taus']} differ from the quantile head's levels "
                           f"{TAUS}")
-    if samples is not None:
-        if samples[0].shape[0] != in_channels:
-            raise ContractError(f"dataset has {samples[0].shape[0]} channels "
-                                f"but runs were trained with {in_channels}")
-        if items.get("dataset") not in (None, dataset_fingerprint(samples)):
-            raise ContractError(f"{runs_dir}: runs were trained on another dataset "
-                                "(its day dates or grid shape differ from this one)")
+    if samples is not None and (dataset, in_channels) != (dataset_fingerprint(samples),
+                                                          samples[0].shape[0]):
+        raise ContractError(f"{runs_dir}: runs were trained on another dataset "
+                            "(its day dates or grid shape differ from this one)")
     return config, in_channels, text
 
 

@@ -128,16 +128,18 @@ class TestTrain:
             assert (runs_dir / name).exists()
         assert not (runs_dir / "seed0_final.guqw").exists()  # no stage reads last-epoch weights
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
     def test_seed_failures_exit_nonzero(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
         rc = cli.main(["gen", "--region", "synth", "--height", "8", "--width", "8",
-                       "--days", "9", "--density", "0.4", "--out", str(data_dir)])
+                       "--days", "12", "--density", "0.4", "--out", str(data_dir)])
         assert rc == 0
-        rc = cli.main(["train", "--data", str(data_dir), "--uq", "mcd",
+        rc = cli.main(["train", "--data", str(data_dir), "--uq", "mcd", "--lr", "1e30",
                        "--epochs", "1", "--seeds", "0", "--base-width", "4",
                        "--depth", "1", "--out", str(tmp_path / "r")])
-        assert rc == 1  # 9 days cannot satisfy the minimum split size
-        assert "FAILED" in capsys.readouterr().err
+        assert rc == 1  # the first Adam step at lr 1e30 makes the next loss non-finite
+        assert "seed 0 FAILED: TrainingError: non-finite" in capsys.readouterr().err
 
     def test_mcd_with_one_pass_refused_before_training(self, pipeline, tmp_path, capsys):
         data_dir, _ = pipeline
@@ -149,9 +151,14 @@ class TestTrain:
         assert not (tmp_path / "r" / "config.txt").exists()
 
     @pytest.mark.parametrize("bad", [("--base-width", "0"), ("--seeds", "0,0"),
-                                     ("--seeds", "-1"), ("--lr", "nan")])
+                                     ("--seeds", "-1"), ("--lr", "nan"),
+                                     ("--data", "a 9-day world, too short to split")])
     def test_bad_setting_leaves_finished_runs_unchanged(self, pipeline, tmp_path, capsys, bad):
         data_dir, runs_dir = pipeline
+        if bad[0] == "--data":  # the last --data wins
+            bad = ("--data", str(tmp_path / "short"))
+            assert cli.main(["gen", "--region", "synth", "--height", "8", "--width", "8",
+                             "--days", "9", "--density", "0.4", "--out", bad[1]]) == 0
         runs = shutil.copytree(runs_dir, tmp_path / "runs")
         before = {n: (runs / n).read_bytes() for n in ("runs.log", "config.txt")}
         capsys.readouterr()
@@ -469,19 +476,30 @@ class TestMalformedRunsDirectory:
         assert (held.read_bytes(), held.stat().st_mtime_ns) == before
 
     @pytest.mark.parametrize("stage", SCORING_STAGES)
-    def test_runs_log_without_heldout_targets_still_scores(self, runs_copy, tmp_path, stage):
-        # pins kept behaviour: a runs.log line written before heldout_targets existed is
-        # scored as before, and the stored predictions are reused as they are
+    def test_missing_record_key_is_an_error_line(self, runs_copy, tmp_path, capsys, stage):
+        # every config.txt and runs.log key is required, heldout_targets and dataset too: a
+        # runs directory without one cannot be checked against the world, and is refused
+        # before its stored predictions are read or rewritten
         data_dir, runs_dir = runs_copy
-        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "a")) == 0
-        log = runs_dir / "runs.log"
-        log.write_text(re.sub(r" heldout_targets=\S+", "", log.read_text()))
-        assert "heldout_targets" not in log.read_text()
+        config, log = runs_dir / "config.txt", runs_dir / "runs.log"
+        items = {config: [ln.partition("=")[0] for ln in config.read_text().splitlines()],
+                 log: [it.partition("=")[0] for it in log.read_text().split()]}
+        assert {"in_channels", "taus", "dataset"} < set(items[config])
+        assert items[log][-1] == "heldout_targets"
         held = runs_dir / "seed0_heldout.guqw"
         before = held.read_bytes(), held.stat().st_mtime_ns
-        assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "b")) == 0
-        assert _files(tmp_path / "a") == _files(tmp_path / "b")
-        assert (held.read_bytes(), held.stat().st_mtime_ns) == before
+        for fp, keys in items.items():
+            text = fp.read_text()
+            where = f"{fp} line 1" if fp == log else str(fp)
+            for key in keys:
+                fp.write_text(re.sub(rf"(^| ){key}=\S*\n?", r"\1", text, flags=re.M))
+                capsys.readouterr()
+                assert cli.main(_scoring_argv(stage, data_dir, runs_dir, tmp_path / "out")) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: {where}: missing key '{key}'\n", err
+                assert not (tmp_path / "out").exists()
+                assert (held.read_bytes(), held.stat().st_mtime_ns) == before
+            fp.write_text(text)
 
 
 @pytest.mark.parametrize("stage", SCORING_STAGES)

@@ -9,7 +9,7 @@ import pytest
 from griduq import autodiff as ad
 from griduq import metrics, model
 from griduq import uq as uq_module
-from griduq.data import GridSample, split, standardize
+from griduq.data import ChannelStats, GridSample, split, standardize
 from griduq.errors import ContractError, FormatError
 from griduq.metrics import (EVAL_RNG_TAG, MetricsReport, SeriesRow, StationScore,
                             empirical_coverage, evaluate_runs, extrapolate_for_runs,
@@ -532,8 +532,9 @@ class TestHeldOutPredictions:
                 stage(moved)
             stage(samples)
 
-    def test_config_without_dataset_key_still_loads(self, tiny_samples, tiny_region, cqr_runs,
-                                                    tmp_path):
+    def test_config_without_dataset_key_is_refused(self, tiny_samples, tiny_region, cqr_runs,
+                                                   tmp_path):
+        # without dataset= the runs cannot be checked against a world, so nothing is scored
         samples, _ = tiny_samples
         runs_dir = fresh_copy(cqr_runs, tmp_path)
         config = runs_dir / CONFIG_NAME
@@ -541,6 +542,36 @@ class TestHeldOutPredictions:
         assert any(line.startswith("dataset=") for line in lines)
         config.write_text("".join(f"{line}\n" for line in lines
                                   if not line.startswith("dataset=")))
-        assert read_run_config(runs_dir) == read_run_config(cqr_runs)
-        report = evaluate_runs(samples, tiny_region, runs_dir)
-        assert report == evaluate_runs(samples, tiny_region, cqr_runs)
+        with pytest.raises(FormatError, match=f"{config}: missing key 'dataset'"):
+            evaluate_runs(samples, tiny_region, runs_dir)
+        assert not list(runs_dir.glob("*_heldout.guqw"))
+
+    def test_file_stored_without_the_stats_checks_is_not_served(self, tiny_samples, tiny_region,
+                                                                cqr_runs, tmp_path,
+                                                                monkeypatch):
+        # key version 2 stored predictions before the stats and weights checks existed: a zero
+        # std gave NaN grids, which a later stage served; version 3 recomputes, and is refused
+        samples, _ = tiny_samples
+        runs_dir = fresh_copy(cqr_runs, tmp_path)
+        rec = read_runs_log(runs_dir)[0]
+        stats = ad.load_checkpoint(runs_dir / rec.stats)
+        stats["std"].data[3] = 0.0
+        ad.save_checkpoint(runs_dir / rec.stats, stats)
+
+        def unchecked(model_config, runs_dir, record, weights, stats):
+            st = ad.parse_checkpoint(stats, record.stats)
+            return (model.UNetParams(model_config, ad.parse_checkpoint(weights, record.checkpoint)),
+                    ChannelStats(mean=st["mean"].data, std=st["std"].data))
+
+        with monkeypatch.context() as m, np.errstate(all="ignore"):
+            m.setattr(metrics, "HELDOUT_VERSION", 2)
+            m.setattr(metrics, "parse_run_params", unchecked)
+            assert math.isnan(evaluate_runs(samples, tiny_region, runs_dir).rmse_mean)
+            m.undo()
+            m.setattr(metrics, "HELDOUT_VERSION", 2)
+            # served under its own key version: the checks run only on a recompute
+            assert math.isnan(evaluate_runs(samples, tiny_region, runs_dir).rmse_mean)
+        stored = (runs_dir / "seed0_heldout.guqw").read_bytes()
+        with pytest.raises(FormatError, match="seed0_stats.guqw"):
+            evaluate_runs(samples, tiny_region, runs_dir)
+        assert (runs_dir / "seed0_heldout.guqw").read_bytes() == stored

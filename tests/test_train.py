@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ import pytest
 from griduq import autodiff as ad
 from griduq import cli
 from griduq.autodiff import Tensor
-from griduq.data import (GridSample, RegionSpec, dataset_fingerprint, record_from, split,
-                         standardize, targets_digest, write_dataset, ChannelStats)
+from griduq.data import (GridSample, RegionSpec, dataset_fingerprint, record_from, record_items,
+                         split, standardize, targets_digest, write_dataset, ChannelStats)
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
@@ -266,13 +266,16 @@ class TestTrainAllSeeds:
         assert config2 == config
         assert in_channels == 28
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
     def test_failures_are_isolated(self, tmp_path, tiny_samples):
+        # the first Adam step at lr 1e30 makes each seed's next loss non-finite
         samples, _ = tiny_samples
-        config = tiny_config("mcd", epochs=1, seeds=(0, 1))
-        records, failures = train_all_seeds(config, samples[:9], tmp_path)
+        config = tiny_config("mcd", epochs=1, seeds=(0, 1), lr=1e30)
+        records, failures = train_all_seeds(config, samples, tmp_path)
         assert records == []
         assert len(failures) == 2
-        assert all("ContractError" in msg for _, msg in failures)
+        assert all("TrainingError: non-finite" in msg for _, msg in failures)
         assert read_runs_log(tmp_path) == []
 
     def test_load_run_params_roundtrip(self, tiny_samples, tmp_path):
@@ -292,7 +295,7 @@ class TestTrainAllSeeds:
         samples, _ = tiny_samples
         stale = RunRecord(seed=0, best_val_loss=1.0, best_epoch=9, final_train_loss=1.0,
                           qhat=99.0, checkpoint="seed0_best.guqw", stats="seed0_stats.guqw",
-                          wall_time_s=1.0)
+                          wall_time_s=1.0, heldout_targets="d")
         (tmp_path / "runs.log").write_text(stale.to_line() + "\n"
                                            + replace(stale, seed=1).to_line() + "\n")
         real_train_one = train_one
@@ -319,7 +322,7 @@ class TestTrainAllSeeds:
             finish.wait(timeout=10)  # every seed finishes at once
             return RunRecord(seed=seed, best_val_loss=float(seed), best_epoch=1,
                              final_train_loss=0.0, qhat=None, checkpoint="c", stats="s",
-                             wall_time_s=0.0)
+                             wall_time_s=0.0, heldout_targets="d")
 
         monkeypatch.setattr("griduq.train.train_one", fake_train_one)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(seeds))),
@@ -351,7 +354,8 @@ class TestTrainAllSeeds:
             if stop.wait(timeout=30):  # fit's check before each batch
                 raise KeyboardInterrupt
             return RunRecord(seed=seed, best_val_loss=1.0, best_epoch=1, final_train_loss=0.0,
-                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0)
+                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0,
+                             heldout_targets="d")
 
         def on_sigint(signum, frame):
             if not interrupted.is_set():
@@ -405,7 +409,8 @@ class TestTrainAllSeeds:
         def fake_train_one(config, samples, seed, out_dir, stop):
             threads.append(threading.current_thread())
             return RunRecord(seed=seed, best_val_loss=1.0, best_epoch=1, final_train_loss=0.0,
-                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0)
+                             qhat=None, checkpoint="c", stats="s", wall_time_s=0.0,
+                             heldout_targets="d")
 
         monkeypatch.setattr("griduq.train.train_one", fake_train_one)
         records, failures = train_all_seeds(tiny_config("mcd", seeds=(0, 1)), samples, tmp_path,
@@ -418,14 +423,14 @@ class TestRunRecord:
     def test_line_roundtrip(self):
         rec = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
                         qhat=2.5, checkpoint="seed3_best.guqw", stats="seed3_stats.guqw",
-                        wall_time_s=12.345)
+                        wall_time_s=12.345, heldout_targets="d")
         again = RunRecord.from_line(rec.to_line())
         assert again == rec
 
     def test_none_qhat_roundtrip(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
                         qhat=None, checkpoint="a", stats="c",
-                        wall_time_s=0.001)
+                        wall_time_s=0.001, heldout_targets="d")
         assert RunRecord.from_line(rec.to_line()).qhat is None
 
     def test_missing_key_raises(self):
@@ -440,10 +445,10 @@ class TestRunRecord:
          "malformed best_epoch='seven'"),
         (lambda line: line.replace("qhat=2.5", "qhat=wide"), "malformed qhat='wide'")])
     def test_malformed_line_raises(self, edit, why):
-        # a line in the earlier nine-item layout, whose final_checkpoint item is ignored
+        # the nine items train writes
         line = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
                          qhat=2.5, checkpoint="a", stats="c",
-                         wall_time_s=1.0).to_line().replace(" stats=", " final_checkpoint=b stats=")
+                         wall_time_s=1.0, heldout_targets="d").to_line()
         with pytest.raises(FormatError, match=why):
             RunRecord.from_line(edit(line), "runs/runs.log line 2")
         with pytest.raises(FormatError, match="runs/runs.log line 2"):
@@ -452,15 +457,15 @@ class TestRunRecord:
     def test_read_runs_log_names_file_and_line(self, tmp_path):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
                         qhat=None, checkpoint="a", stats="c",
-                        wall_time_s=0.5)
+                        wall_time_s=0.5, heldout_targets="d")
         (tmp_path / "runs.log").write_text(f"{rec.to_line()}\n\n{rec.to_line()} x\n")
-        with pytest.raises(FormatError, match=r"runs\.log line 3: item 9 is not key=value"):
+        with pytest.raises(FormatError, match=r"runs\.log line 3: item 10 is not key=value"):
             read_runs_log(tmp_path)
 
     def test_unknown_keys_are_ignored(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
                         qhat=None, checkpoint="a", stats="c",
-                        wall_time_s=0.5)
+                        wall_time_s=0.5, heldout_targets="d")
         assert RunRecord.from_line("note=retrained " + rec.to_line()) == rec
 
     def test_heldout_targets_roundtrip(self):
@@ -470,35 +475,40 @@ class TestRunRecord:
         assert rec.to_line().endswith(" heldout_targets=" + "0f" * 32)
         assert RunRecord.from_line(rec.to_line()) == rec
 
-    def test_line_without_heldout_targets_keeps_earlier_layout(self):
-        # pins kept behaviour: a field whose default is None is left out while it is None, and
-        # a line that lacks it loads with None
-        rec = RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5,
-                        qhat=2.5, checkpoint="a", stats="c", wall_time_s=1.0)
+    def test_line_without_heldout_targets_is_refused(self):
+        # a line written before heldout_targets was recorded cannot be checked against a world
         line = ("seed=3 best_val_loss=1.25 best_epoch=7 final_train_loss=0.5 qhat=2.5 "
                 "checkpoint=a stats=c wall_time_s=1.0")
-        assert rec.to_line() == line
-        assert RunRecord.from_line(line).heldout_targets is None
+        with pytest.raises(FormatError, match="runs.log line 1: missing key 'heldout_targets'"):
+            RunRecord.from_line(line, "runs.log line 1")
+        assert RunRecord.from_line(line + " heldout_targets=d").heldout_targets == "d"
 
-    @pytest.mark.parametrize("cls, items, key", [
-        (RegionSpec, "region=t h=5 w=4 lat0=45.0 lon0=-110.0", "cell_size"),
-        (TrainConfig, "uq_method=cqr base_width=8 depth=2 dropout_rate=0.1 lr=0.003 batch_size=8 "
-                      "alpha=0.1 t_passes=30 seeds=0,1", "epochs")])
-    def test_only_fields_defaulting_to_none_may_be_missing(self, cls, items, key):
-        # pins kept behaviour: a default other than None does not make a key optional
-        with pytest.raises(FormatError, match=f"where: missing key '{key}'"):
-            record_from(cls, dict(item.split("=") for item in items.split()), "where")
+    @pytest.mark.parametrize("record", [
+        RegionSpec("t", 5, 4, lat0=45.0, lon0=-110.0),
+        TrainConfig("cqr", seeds=(0, 1)),
+        RunRecord(seed=3, best_val_loss=1.25, best_epoch=7, final_train_loss=0.5, qhat=None,
+                  checkpoint="a", stats="c", wall_time_s=1.0, heldout_targets="d")],
+        ids=["RegionSpec", "TrainConfig", "RunRecord"])
+    def test_every_field_is_required(self, record):
+        # every field is written, a field at its default or None too, and none may be missing
+        items = dict(item.split("=") for item in record_items(record))
+        assert list(items) == [f.name for f in fields(record)]
+        assert record_from(type(record), items, "where") == record
+        for key in items:
+            with pytest.raises(FormatError, match=f"where: missing key '{key}'"):
+                record_from(type(record), {k: v for k, v in items.items() if k != key}, "where")
 
     def test_wall_time_keeps_every_digit(self):
         rec = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
                         qhat=None, checkpoint="a", stats="c",
-                        wall_time_s=2.6305623830012337)
+                        wall_time_s=2.6305623830012337, heldout_targets="d")
         assert "wall_time_s=2.6305623830012337" in rec.to_line()
         assert RunRecord.from_line(rec.to_line()).wall_time_s == rec.wall_time_s
 
 
 # config.txt and runs.log as written before both records were read and written from their
-# dataclass fields; wall_time_s then had three decimals
+# dataclass fields; wall_time_s then had three decimals, and a runs.log line held a
+# final_checkpoint item but no heldout_targets
 EARLIER_CONFIG = """uq_method=cqr
 in_channels=28
 base_width=8
@@ -522,7 +532,7 @@ EARLIER_VALUES = (TrainConfig(uq_method="cqr", base_width=8, depth=2, dropout_ra
                   RunRecord(seed=0, best_val_loss=3.6874157928285145, best_epoch=2,
                             final_train_loss=4.724577580810224, qhat=-0.12483549118041992,
                             checkpoint="seed0_best.guqw", stats="seed0_stats.guqw",
-                            wall_time_s=1.234))
+                            wall_time_s=1.234, heldout_targets="0f" * 32))
 
 
 class TestRunConfigRecord:
@@ -530,9 +540,14 @@ class TestRunConfigRecord:
         samples, _ = tiny_samples
         (tmp_path / CONFIG_NAME).write_text(
             EARLIER_CONFIG.format(dataset=dataset_fingerprint(samples)))
-        (tmp_path / "runs.log").write_text(EARLIER_RUNS_LOG_LINE + "\n")
         config, record = EARLIER_VALUES
         assert run_config(tmp_path, samples)[:2] == (config, 28)
+        # the earlier runs.log line is refused until it carries heldout_targets
+        (tmp_path / "runs.log").write_text(EARLIER_RUNS_LOG_LINE + "\n")
+        with pytest.raises(FormatError, match=r"runs\.log line 1: missing key 'heldout_targets'"):
+            read_runs_log(tmp_path)
+        (tmp_path / "runs.log").write_text(
+            f"{EARLIER_RUNS_LOG_LINE} heldout_targets={record.heldout_targets}\n")
         assert read_runs_log(tmp_path) == [record]
 
     def test_written_bytes_match_earlier_files(self, tmp_path, tiny_samples):
@@ -541,20 +556,23 @@ class TestRunConfigRecord:
         write_run_config(tmp_path, EARLIER_VALUES[0], samples)
         assert (tmp_path / CONFIG_NAME).read_text() == EARLIER_CONFIG.format(
             dataset=dataset_fingerprint(samples))
-        # the same key order, less the final_checkpoint item that runs.log no longer holds
+        # the same key order, less the final_checkpoint item that runs.log no longer holds and
+        # with heldout_targets last
         assert EARLIER_VALUES[1].to_line() == EARLIER_RUNS_LOG_LINE.replace(
-            " final_checkpoint=seed0_final.guqw", "")
+            " final_checkpoint=seed0_final.guqw", "") + " heldout_targets=" + "0f" * 32
 
     def test_key_order_and_unknown_keys_do_not_matter(self, tmp_path):
         lines = EARLIER_CONFIG.format(dataset="x").splitlines()
         (tmp_path / CONFIG_NAME).write_text("\n".join(["note=kept", *reversed(lines)]) + "\n")
         assert read_run_config(tmp_path) == (EARLIER_VALUES[0], 28)
 
-    def test_taus_and_dataset_are_optional(self, tmp_path):
-        lines = [ln for ln in EARLIER_CONFIG.splitlines()
-                 if not ln.startswith(("taus=", "dataset="))]
+    @pytest.mark.parametrize("key", ["in_channels", "taus", "dataset"])
+    def test_keys_beside_the_train_config_are_required(self, tmp_path, key):
+        lines = [ln for ln in EARLIER_CONFIG.format(dataset="x").splitlines()
+                 if not ln.startswith(f"{key}=")]
         (tmp_path / CONFIG_NAME).write_text("\n".join(lines) + "\n")
-        assert read_run_config(tmp_path) == (EARLIER_VALUES[0], 28)
+        with pytest.raises(FormatError, match=f"config.txt: missing key '{key}'"):
+            read_run_config(tmp_path)
 
     @pytest.mark.parametrize("edit, why", [
         (lambda text: text + "garbage line without equals\n",
@@ -622,6 +640,9 @@ class TestHelpers:
         shifted = [replace(s, date=s.date + datetime.timedelta(days=1000)) for s in samples]
         with pytest.raises(ContractError, match="another dataset"):
             run_config(tmp_path, shifted)
+        (tmp_path / CONFIG_NAME).write_bytes(text.replace(b"in_channels=28", b"in_channels=29"))
+        with pytest.raises(ContractError, match="another dataset"):
+            run_config(tmp_path, samples)
         assert dataset_fingerprint(list(reversed(samples))) == dataset_fingerprint(samples)
         assert dataset_fingerprint(samples[:-1]) != dataset_fingerprint(samples)
 

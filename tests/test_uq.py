@@ -262,7 +262,8 @@ class TestCqr:
         config = TrainConfig(UQ_CQR, seeds=(0,))
         for qhat in (None, float("nan"), float("inf"), float("-inf")):
             record = RunRecord(seed=0, best_val_loss=1.0, best_epoch=1, final_train_loss=1.0,
-                               qhat=qhat, checkpoint="a", stats="c", wall_time_s=0.5)
+                               qhat=qhat, checkpoint="a", stats="c", wall_time_s=0.5,
+                               heldout_targets="d")
             with pytest.raises(ContractError, match=f"needs a finite qhat, got {qhat}"):
                 heldout_predictions(samples, config, tmp_path, record, b"")
 
