@@ -169,7 +169,7 @@ def write_dataset(samples: list[GridSample], spec: RegionSpec, path) -> None:
         buf += np.ascontiguousarray(s.x, dtype="<f4").tobytes()
         buf += np.ascontiguousarray(target, dtype="<f4").tobytes()
         buf += np.ascontiguousarray(s.mask.astype(np.float32), dtype="<f4").tobytes()
-        (root / f"{s.date.isoformat()}.guq").write_bytes(bytes(buf))
+        (root / f"{s.date.isoformat()}.guq").write_bytes(buf)
 
 
 def parse_fields(items, where, what: str = "line") -> dict[str, str]:
@@ -258,7 +258,9 @@ def _read_day_file(fp: Path, date: datetime.date, shape: tuple[int, int, int]) -
         raise FormatError(f"{fp}: expected {need} bytes for {c}+2 planes of {h}x{w}, got {len(blob)}")
     if (c, h, w) != shape:
         raise FormatError(f"{fp.parent}: {date} has shape {(c, h, w)}, manifest says {shape}")
-    planes = np.frombuffer(blob, dtype="<f4", offset=12).reshape(c + 2, h, w).astype(np.float32)
+    # read-only views of the bytes read, with no copy on a little-endian machine
+    planes = np.frombuffer(blob, dtype="<f4", offset=12).reshape(c + 2, h, w).astype(
+        np.float32, copy=False)
     x = planes[:c]
     y = planes[c]
     mask_plane = planes[c + 1]
@@ -395,14 +397,17 @@ def standardize(samples: list[GridSample], stats: ChannelStats) -> list[GridSamp
     return out
 
 
-def batches(samples: list[GridSample], batch_size: int):
-    """Consecutive (days, x, y, mask) batches of at most batch_size days in list order:
-    x is (N, C, H, W), y and mask are (N, 1, H, W)."""
+def batches(samples: list[GridSample], batch_size: int, stats: ChannelStats):
+    """Consecutive (days, x, y, mask) batches of at most batch_size raw days in list order:
+    x is (N, C, H, W), z-scored in place as ``standardize`` does; y and mask are (N, 1, H, W)."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     for start in range(0, len(samples), batch_size):
         days = samples[start:start + batch_size]
-        yield (days, np.stack([s.x for s in days]), np.stack([s.y for s in days])[:, None],
+        xb = np.stack([s.x for s in days])
+        xb -= stats.mean[:, None, None]
+        xb /= stats.std[:, None, None]
+        yield (days, xb, np.stack([s.y for s in days])[:, None],
                np.stack([s.mask for s in days])[:, None])
 
 

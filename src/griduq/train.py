@@ -31,12 +31,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (TRAIN_FRAC, ChannelStats, GridSample, batches, convert_fields,
                    dataset_fingerprint, parse_fields, read_text, record_from, record_items,
-                   split, standardize, targets_digest)
-from .errors import ContractError, FormatError, TrainingError
+                   split, targets_digest)
+from .errors import CalibrationError, ContractError, FormatError, TrainingError
 from .losses import gaussian_nll, quantile_loss
 from .model import (TAUS, UQ_CQR, UQ_MCD, ModelConfig, UNetParams, build, forward,
                     gaussian_moments)
-from .uq import conformal_quantile, conformity_scores
+from .uq import conformal_quantile, conformal_rank, conformity_scores
 
 GRAD_CLIP_NORM = 5.0
 CONFIG_NAME = "config.txt"
@@ -152,14 +152,15 @@ def _batch_loss(params: UNetParams, xb, yb, maskb, rng: np.random.Generator | No
     return quantile_loss(out, yb, maskb)
 
 
-def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: int) -> float:
-    """Deterministic mask-pixel-weighted loss over a sample list, dropout off.
+def _pooled_loss(params: UNetParams, samples: Sequence[GridSample], batch_size: int,
+                 stats: ChannelStats) -> float:
+    """Deterministic mask-pixel-weighted loss over raw days z-scored by stats, dropout off.
 
     Batches with no station pixel are skipped.
     """
     total = 0.0
     count = 0
-    for _, xb, yb, maskb in batches(samples, batch_size):
+    for _, xb, yb, maskb in batches(samples, batch_size, stats):
         n = int(maskb.sum())
         if n == 0:
             continue  # no station pixel: the loss is undefined and would weigh 0
@@ -178,9 +179,9 @@ class FitResult:
 
 
 def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[GridSample],
-        *, epochs: int, lr: float, batch_size: int, seed: int,
+        stats: ChannelStats, *, epochs: int, lr: float, batch_size: int, seed: int,
         stop: threading.Event | None = None) -> FitResult:
-    """Adam training loop with best-validation snapshotting.
+    """Adam training loop with best-validation snapshotting, over raw days z-scored by stats.
 
     Aborts with the (epoch, batch) position if a loss goes non-finite, and
     raises KeyboardInterrupt before a batch once ``stop`` is set.
@@ -206,7 +207,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
         shuffled = [usable[i] for i in np.random.default_rng([seed, epoch]).permutation(len(usable))]
         epoch_total = 0.0
         epoch_count = 0
-        for bi, (_, xb, yb, maskb) in enumerate(batches(shuffled, batch_size), start=1):
+        for bi, (_, xb, yb, maskb) in enumerate(batches(shuffled, batch_size, stats), start=1):
             if stop is not None and stop.is_set():
                 raise KeyboardInterrupt
             tape = ad.Tape()
@@ -223,7 +224,7 @@ def fit(params: UNetParams, train_samples: list[GridSample], val_samples: list[G
             epoch_total += value * n
             epoch_count += n
         final_train = epoch_total / epoch_count
-        val_loss = _pooled_loss(params, val_samples, batch_size)
+        val_loss = _pooled_loss(params, val_samples, batch_size, stats)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss after epoch {epoch}")
         if val_loss < best_val:
@@ -247,12 +248,10 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
 
     train_set, calib_set, val_set = config.split_days(samples, seed)
     stats = ChannelStats.from_samples(train_set)
-    train_set = standardize(train_set, stats)
-    val_set = standardize(val_set, stats)
 
     params = build(model_config, seed)
     started = time.perf_counter()
-    result = fit(params, train_set, val_set, epochs=config.epochs, lr=config.lr,
+    result = fit(params, train_set, val_set, stats, epochs=config.epochs, lr=config.lr,
                  batch_size=config.batch_size, seed=seed, stop=stop)
     wall = time.perf_counter() - started
 
@@ -265,7 +264,7 @@ def train_one(config: TrainConfig, samples: list[GridSample], seed: int,
 
     qhat = None
     if calib_set is not None:
-        scores = conformity_scores(best_params, standardize(calib_set, stats), config.batch_size)
+        scores = conformity_scores(best_params, calib_set, config.batch_size, stats)
         qhat = conformal_quantile(scores, config.alpha)
 
     return RunRecord(seed=seed, best_val_loss=result.best_val_loss,
@@ -285,9 +284,16 @@ def train_all_seeds(config: TrainConfig, samples: list[GridSample], out_dir,
     batch without a runs.log line, and the interrupt is re-raised.
     """
     out = Path(out_dir)
-    # a bad GRIDUQ_THREADS, or a world too short to split, is refused before out_dir changes
+    # a bad GRIDUQ_THREADS, a world too short to split, or fewer calibration station pixels
+    # than alpha needs, is refused before out_dir changes
     workers = resolve_workers(len(config.seeds), deterministic)
-    config.split_days(samples, config.seeds[0])
+    for seed in config.seeds:
+        calib = config.split_days(samples, seed)[1]
+        if calib is not None:
+            try:
+                conformal_rank(sum(int(s.mask.sum()) for s in calib), config.alpha)
+            except CalibrationError as err:
+                raise CalibrationError(f"seed {seed}: {err}") from None
     # emptied before config.txt changes, so no old seed line outlives an interrupted retrain
     ad.write_atomic(out / RUNS_LOG_NAME, b"")
     write_run_config(out, config, samples)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .data import GridSample, batches
+from .data import ChannelStats, GridSample, batches
 from .errors import CalibrationError, ContractError
 from .model import UQ_CQR, UQ_MCD, UNetParams, forward, gaussian_moments
 
@@ -122,32 +122,37 @@ def mc_dropout_predict(params: UNetParams, x: np.ndarray, t_passes: int,
     return McdPrediction(mean=mean, epistemic=epistemic, aleatoric=aleatoric)
 
 
-def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
-    """The ceil((n+1)(1-alpha))-th smallest score (1-indexed order statistic)."""
-    if not 0.0 < alpha < 1.0:
-        raise ContractError(f"alpha must be in (0, 1), got {alpha}")
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    n = scores.size
+def conformal_rank(n: int, alpha: float) -> int:
+    """qhat's 1-indexed rank ceil((n+1)(1-alpha)) among n scores; CalibrationError past n."""
     # the 1e-9 slack keeps float products like 100 * 0.9 from ceiling to 91
     k = max(1, math.ceil((n + 1) * (1.0 - alpha) - 1e-9))
     if k > n:
         need = math.ceil(1.0 / alpha - 1e-9) - 1
         raise CalibrationError(
             f"alpha={alpha} needs at least {need} calibration scores, got {n}")
+    return k
+
+
+def conformal_quantile(scores: np.ndarray, alpha: float) -> float:
+    """The ceil((n+1)(1-alpha))-th smallest score (1-indexed order statistic)."""
+    if not 0.0 < alpha < 1.0:
+        raise ContractError(f"alpha must be in (0, 1), got {alpha}")
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    k = conformal_rank(scores.size, alpha)
     return float(np.partition(scores, k - 1)[k - 1])
 
 
-def conformity_scores(params: UNetParams, samples: Sequence[GridSample],
-                      batch_size: int) -> np.ndarray:
-    """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every day.
+def conformity_scores(params: UNetParams, samples: Sequence[GridSample], batch_size: int,
+                      stats: ChannelStats) -> np.ndarray:
+    """Pooled E = max(q_lo - y, y - q_hi) over every masked pixel of every raw day.
 
-    Days are forwarded batch_size at a time, dropout off, in sample order; boolean
-    indexing is day-major, so the scores pool in the order of one day at a time.
+    Days are z-scored by stats and forwarded batch_size at a time, dropout off, in sample
+    order; boolean indexing is day-major, so the scores pool in the order of one day at a time.
     """
     if params.config.uq_method != UQ_CQR:
         raise ContractError("conformity_scores needs a quantile-head model")
     pooled = []
-    for _, xb, yb, maskb in batches(samples, batch_size):
+    for _, xb, yb, maskb in batches(samples, batch_size, stats):
         bands = forward(params, Tensor(xb)).data
         m = maskb[:, 0]
         y = yb[:, 0][m]

@@ -127,7 +127,7 @@ def test_criterion_01_conformal_coverage(sparse_world, sparse_cqr, tmp_path):
     _, calib_set, val_set = data.split(samples, calib=True, seed=rec.seed)
     pool_raw = calib_set + val_set
     pool_std = data.standardize(pool_raw, stats)
-    day_scores = [uq.conformity_scores(params, [s], 8) for s in pool_std]
+    day_scores = [uq.conformity_scores(params, [s], 8, stats) for s in pool_raw]
     day_bounds = []
     for s in pool_std:
         band = uq.cqr_predict(params, s.x)
@@ -311,7 +311,7 @@ def test_criterion_03_overfit_sanity():
     config = ModelConfig(in_channels=28, base_width=8, depth=2,
                          dropout_rate=0.0, uq_method=UQ_MCD)
     params = build(config, seed=0)
-    result = train.fit(params, four_std, four_std, epochs=300, lr=3e-3,
+    result = train.fit(params, four, four, stats, epochs=300, lr=3e-3,
                        batch_size=4, seed=0)
     best = UNetParams(config, {k: ad.Tensor(v) for k, v in result.best_state.items()})
     preds = [predict_gaussian(best, s.x)[0] for s in four_std]

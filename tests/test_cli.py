@@ -152,7 +152,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [("--base-width", "0"), ("--seeds", "0,0"),
                                      ("--seeds", "-1"), ("--lr", "nan"),
-                                     ("--data", "a 9-day world, too short to split")])
+                                     ("--data", "a 9-day world, too short to split"),
+                                     ("--alpha", "0.001")])
     def test_bad_setting_leaves_finished_runs_unchanged(self, pipeline, tmp_path, capsys, bad):
         data_dir, runs_dir = pipeline
         if bad[0] == "--data":  # the last --data wins

@@ -369,7 +369,8 @@ class TestChannelStats:
 class TestBatches:
     def test_order_shapes_and_short_last_batch(self):
         samples = [make_sample(day(i), seed=i) for i in (4, 0, 6, 2, 5, 1, 3)]  # not by date
-        got = list(batches(samples, 3))
+        unit = ChannelStats(mean=np.zeros(3, np.float32), std=np.ones(3, np.float32))
+        got = list(batches(samples, 3, unit))
         assert [len(days) for days, *_ in got] == [3, 3, 1]
         assert [s.date for days, *_ in got for s in days] == [s.date for s in samples]
         for days, x, y, mask in got:
@@ -380,6 +381,16 @@ class TestBatches:
                 assert np.array_equal(x[i], s.x)
                 assert np.array_equal(y[i, 0], s.y, equal_nan=True)
                 assert np.array_equal(mask[i, 0], s.mask)
+
+    def test_z_scores_like_standardize_and_leaves_days_raw(self):
+        samples = [make_sample(day(i), seed=i) for i in range(7)]
+        raw = [s.x.copy() for s in samples]
+        stats = ChannelStats.from_samples(samples[:4])
+        got = np.concatenate([x for _, x, _, _ in batches(samples, 3, stats)])
+        want = np.stack([s.x for s in standardize(samples, stats)])
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        assert all(np.array_equal(s.x, x) for s, x in zip(samples, raw))
 
 
 class TestNoiseProfile:

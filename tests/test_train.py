@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -14,8 +15,9 @@ import pytest
 from griduq import autodiff as ad
 from griduq import cli
 from griduq.autodiff import Tensor
-from griduq.data import (GridSample, RegionSpec, dataset_fingerprint, record_from, record_items,
-                         split, standardize, targets_digest, write_dataset, ChannelStats)
+from griduq.data import (GridSample, NoiseProfile, RegionSpec, dataset_fingerprint,
+                         generate_synthetic, record_from, record_items, region_synthetic, split,
+                         standardize, targets_digest, write_dataset, ChannelStats)
 from griduq.errors import ContractError, FormatError, TrainingError
 from griduq.losses import gaussian_nll
 from griduq.model import UQ_CQR, UQ_MCD, UNetParams, build, forward, gaussian_moments
@@ -33,10 +35,10 @@ def tiny_config(uq="mcd", **kw):
 
 
 def prepared(tiny_samples, seed=0):
+    """Raw train and validation days, and the train days' channel statistics."""
     samples, _ = tiny_samples
     train_set, val_set = split(samples, TRAIN_FRAC, seed=seed)
-    stats = ChannelStats.from_samples(train_set)
-    return standardize(train_set, stats), standardize(val_set, stats)
+    return train_set, val_set, ChannelStats.from_samples(train_set)
 
 
 class TestTrainConfig:
@@ -105,22 +107,22 @@ class TestClipGradNorm:
 
 class TestFit:
     def test_loss_drops_at_least_ten_percent(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         config = tiny_config("mcd", epochs=15)
         params = build(config.model_config(28), seed=0)
-        before = _pooled_loss(params, val_set, 8)
-        result = fit(params, train_set, val_set, epochs=15, lr=3e-3, batch_size=8, seed=0)
+        before = _pooled_loss(params, val_set, 8, stats)
+        result = fit(params, train_set, val_set, stats, epochs=15, lr=3e-3, batch_size=8, seed=0)
         assert result.best_val_loss < 0.9 * before
         assert 1 <= result.best_epoch <= 15
         assert np.isfinite(result.final_train_loss)
 
     def test_same_seed_is_bitwise_deterministic(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         config = tiny_config("mcd", epochs=4)
 
         def run():
             params = build(config.model_config(28), seed=0)
-            result = fit(params, train_set, val_set, epochs=4, lr=3e-3, batch_size=8, seed=0)
+            result = fit(params, train_set, val_set, stats, epochs=4, lr=3e-3, batch_size=8, seed=0)
             return result
 
         a, b = run(), run()
@@ -130,16 +132,16 @@ class TestFit:
             assert np.array_equal(a.best_state[k], b.best_state[k]), k
 
     def test_best_is_no_worse_than_final(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         config = tiny_config("mcd", epochs=10)
         params = build(config.model_config(28), seed=1)
-        result = fit(params, train_set, val_set, epochs=10, lr=3e-3, batch_size=8, seed=1)
-        final_val = _pooled_loss(params, val_set, 8)
+        result = fit(params, train_set, val_set, stats, epochs=10, lr=3e-3, batch_size=8, seed=1)
+        final_val = _pooled_loss(params, val_set, 8, stats)
         assert result.best_val_loss <= final_val + 1e-9
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_reports_position(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         poisoned = []
         for s in train_set[:4]:
             x = s.x.copy()
@@ -147,10 +149,10 @@ class TestFit:
             poisoned.append(GridSample(date=s.date, x=x, y=s.y, mask=s.mask))
         params = build(tiny_config("mcd").model_config(28), seed=0)
         with pytest.raises(TrainingError, match="epoch 1, batch 1"):
-            fit(params, poisoned, val_set, epochs=2, lr=1e-3, batch_size=8, seed=0)
+            fit(params, poisoned, val_set, stats, epochs=2, lr=1e-3, batch_size=8, seed=0)
 
     def test_warns_and_drops_stationless_days(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         h, w = train_set[0].y.shape
         empty = GridSample(date=datetime.date(2031, 6, 1),
                            x=np.zeros_like(train_set[0].x),
@@ -158,11 +160,11 @@ class TestFit:
                            mask=np.zeros((h, w), dtype=bool))
         params = build(tiny_config("mcd").model_config(28), seed=0)
         with pytest.warns(RuntimeWarning, match="no station"):
-            fit(params, train_set[:3] + [empty], val_set, epochs=1, lr=1e-3,
+            fit(params, train_set[:3] + [empty], val_set, stats, epochs=1, lr=1e-3,
                 batch_size=8, seed=0)
 
     def test_set_stop_interrupts_before_the_first_step(self, tiny_samples, monkeypatch):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         params = build(tiny_config("mcd").model_config(28), seed=0)
         before = {k: t.data.copy() for k, t in params.tensors.items()}
         steps = []
@@ -170,44 +172,47 @@ class TestFit:
         stop = threading.Event()
         stop.set()
         with pytest.raises(KeyboardInterrupt):
-            fit(params, train_set, val_set, epochs=1, lr=1e-3, batch_size=8, seed=0, stop=stop)
+            fit(params, train_set, val_set, stats, epochs=1,
+                lr=1e-3, batch_size=8, seed=0, stop=stop)
         assert steps == []
         assert all(np.array_equal(t.data, before[k]) for k, t in params.tensors.items())
 
     def test_rejects_empty_inputs(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         params = build(tiny_config("mcd").model_config(28), seed=0)
         with pytest.raises(ContractError):
-            fit(params, train_set, [], epochs=1, lr=1e-3, batch_size=8, seed=0)
+            fit(params, train_set, [], stats, epochs=1, lr=1e-3, batch_size=8, seed=0)
 
     def test_stationless_validation_fails_before_training(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         h, w = val_set[0].y.shape
         blind = [replace(s, y=np.full((h, w), np.nan, dtype=np.float32),
                          mask=np.zeros((h, w), dtype=bool)) for s in val_set]
         params = build(tiny_config("mcd").model_config(28), seed=0)
         before = {k: t.data.copy() for k, t in params.tensors.items()}
         with pytest.raises(ContractError, match="no station pixels"):
-            fit(params, train_set, blind, epochs=1, lr=1e-3, batch_size=8, seed=0)
+            fit(params, train_set, blind, stats, epochs=1, lr=1e-3, batch_size=8, seed=0)
         for k, t in params.tensors.items():
             assert np.array_equal(t.data, before[k]), k
 
 
     def test_stationless_validation_batch_is_skipped(self, tiny_samples):
-        train_set, val_set = prepared(tiny_samples)
+        train_set, val_set, stats = prepared(tiny_samples)
         h, w = val_set[0].y.shape
         blind = [replace(val_set[i % len(val_set)], y=np.full((h, w), np.nan, dtype=np.float32),
                          mask=np.zeros((h, w), dtype=bool)) for i in range(8)]
         seen = val_set * 5  # after the blind chunk: a full chunk of 8 and a partial one
         params = build(tiny_config("mcd").model_config(28), seed=0)
-        result = fit(params, train_set, blind + seen, epochs=1, lr=1e-3, batch_size=8, seed=0)
+        result = fit(params, train_set, blind + seen, stats, epochs=1,
+                     lr=1e-3, batch_size=8, seed=0)
         best = UNetParams(params.config, {k: Tensor(v) for k, v in result.best_state.items()})
         total = count = 0.0
         for start in range(0, len(seen), 8):
             chunk = seen[start:start + 8]
             y = np.stack([s.y for s in chunk])[:, None]
             mask = np.stack([s.mask for s in chunk])[:, None]
-            mu, sigma2 = gaussian_moments(forward(best, Tensor(np.stack([s.x for s in chunk]))))
+            x = np.stack([s.x for s in standardize(chunk, stats)])
+            mu, sigma2 = gaussian_moments(forward(best, Tensor(x)))
             total += gaussian_nll(mu, sigma2, y, mask).item() * int(mask.sum())
             count += int(mask.sum())
         assert result.best_epoch == 1
@@ -247,6 +252,22 @@ class TestTrainOne:
             (tmp_path / "b" / b.checkpoint).read_bytes()
         assert a.best_val_loss == b.best_val_loss
 
+    @pytest.mark.parametrize("uq", [UQ_MCD, UQ_CQR])
+    def test_peak_memory_holds_no_copy_of_the_world(self, uq, tmp_path):
+        # batches z-score each batch, so no split's days are copied: what a seed adds to
+        # the raw world is its batches, tape and weights, well under half the world's inputs
+        samples, _ = generate_synthetic(region_synthetic(16, 16), 240, 28,
+                                        NoiseProfile("homoscedastic", 2.0), 0.3, seed=5)
+        world = sum(s.x.nbytes for s in samples)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_one(tiny_config(uq, epochs=1), samples, seed=0, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * world, f"peak {peak / world:.2f}x the world's inputs"
+
 
 class TestTrainAllSeeds:
     def test_two_seed_run(self, tiny_samples, tmp_path):
@@ -277,6 +298,30 @@ class TestTrainAllSeeds:
         assert len(failures) == 2
         assert all("TrainingError: non-finite" in msg for _, msg in failures)
         assert read_runs_log(tmp_path) == []
+
+    @pytest.mark.parametrize("uq", [UQ_MCD, UQ_CQR])
+    def test_threaded_seeds_write_what_deterministic_seeds_write(self, tiny_samples, tmp_path,
+                                                                  monkeypatch, uq):
+        samples, _ = tiny_samples
+        config = tiny_config(uq, epochs=2, seeds=(0, 1))
+        train_all_seeds(config, samples, tmp_path / "det", deterministic=True)
+        threads = []
+
+        def spied(*args):
+            threads.append(threading.current_thread())
+            return train_one(*args)
+
+        monkeypatch.setattr("griduq.train.train_one", spied)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("GRIDUQ_THREADS", "2")
+        records, failures = train_all_seeds(config, samples, tmp_path / "thr")
+        assert failures == [] and len(threads) == 2
+        assert threading.main_thread() not in threads
+        det = {p.name: p.read_bytes() for p in (tmp_path / "det").iterdir() if p.name != "runs.log"}
+        assert {p.name: p.read_bytes() for p in (tmp_path / "thr").iterdir()
+                if p.name != "runs.log"} == det
+        assert [replace(r, wall_time_s=0.0) for r in read_runs_log(tmp_path / "thr")] == \
+            [replace(r, wall_time_s=0.0) for r in read_runs_log(tmp_path / "det")]
 
     def test_load_run_params_roundtrip(self, tiny_samples, tmp_path):
         samples, _ = tiny_samples

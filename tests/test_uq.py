@@ -4,7 +4,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from griduq.data import GridSample, NoiseProfile, generate_synthetic, region_synthetic
+from griduq.data import (ChannelStats, GridSample, NoiseProfile, generate_synthetic,
+                         region_synthetic)
 from griduq.errors import CalibrationError, ContractError
 from griduq.metrics import empirical_coverage, heldout_predictions, pooled_rmse
 from griduq.model import UQ_CQR, UQ_MCD, ModelConfig, build
@@ -13,6 +14,10 @@ from griduq.uq import (CqrPrediction, McdPrediction, aggregate_mc_passes, cqr_pr
                        conformal_quantile, conformity_scores, mc_dropout_predict)
 
 from _oracles import stacked
+
+
+# channel statistics that leave 28-channel inputs as they are: (x - 0) / 1 is x, bit for bit
+RAW = ChannelStats(mean=np.zeros(28, np.float32), std=np.ones(28, np.float32))
 
 
 def gaussian_model(dropout=0.3, seed=0):
@@ -210,7 +215,7 @@ class TestCqr:
     def test_conformity_scores_match_manual(self, tiny_world):
         params, samples = tiny_world
         subset = samples[:3]
-        scores = conformity_scores(params, subset, 8)
+        scores = conformity_scores(params, subset, 8, RAW)
         manual = []
         for s in subset:
             band = cqr_predict(params, s.x)
@@ -227,17 +232,17 @@ class TestCqr:
                                         0.5, seed=4)
         params = build(ModelConfig(in_channels=28, base_width=4, depth=2,
                                    dropout_rate=0.1, uq_method=UQ_CQR), seed=3)
-        scores = conformity_scores(params, samples, batch_size)
-        per_day = np.concatenate([conformity_scores(params, [s], 8) for s in samples])
+        scores = conformity_scores(params, samples, batch_size, RAW)
+        per_day = np.concatenate([conformity_scores(params, [s], 8, RAW) for s in samples])
         assert scores.dtype == np.float64
         assert np.array_equal(scores, per_day)
-        qhat = conformal_quantile(conformity_scores(params, samples, batch_size), alpha=0.1)
+        qhat = conformal_quantile(conformity_scores(params, samples, batch_size, RAW), alpha=0.1)
         assert qhat == conformal_quantile(per_day, 0.1)
 
     def test_batch_size_must_be_positive(self, tiny_world):
         params, samples = tiny_world
         with pytest.raises(ContractError):
-            conformity_scores(params, samples[:2], batch_size=0)
+            conformity_scores(params, samples[:2], batch_size=0, stats=RAW)
 
     def test_predict_widens_symmetrically(self, tiny_world):
         params, samples = tiny_world
@@ -270,7 +275,7 @@ class TestCqr:
     def test_head_guard(self, tiny_world):
         _, samples = tiny_world
         with pytest.raises(ContractError):
-            conformity_scores(gaussian_model(), samples[:2], 8)
+            conformity_scores(gaussian_model(), samples[:2], 8, RAW)
 
     def test_coverage_guarantee_without_training(self, tiny_world):
         # split-conformal marginal coverage holds no matter how bad the model:
@@ -281,7 +286,8 @@ class TestCqr:
             order = np.random.default_rng(trial).permutation(len(samples))
             calib = [samples[i] for i in order[:40]]
             test = [samples[i] for i in order[40:]]
-            qhat = conformal_quantile(conformity_scores(params, calib, batch_size=8), alpha=0.1)
+            scores = conformity_scores(params, calib, batch_size=8, stats=RAW)
+            qhat = conformal_quantile(scores, alpha=0.1)
             preds = [cqr_predict(params, s.x).widened(qhat) for s in test]
             coverages.append(empirical_coverage(stacked(preds), test))
         avg = float(np.mean(coverages))
